@@ -14,8 +14,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "exp/experiment.hpp"
+#include "exp/replication.hpp"
 #include "rt/history.hpp"
 #include "rt/runtime.hpp"
 
@@ -117,8 +119,10 @@ inline void check_identical(Oracle& o, const RunResult& a, const RunResult& b,
 }
 
 /// One fault-sweep run: the request count its protocol mode implies, a
-/// nonzero message count, fault counters that only move under the fault
-/// kinds that drive them, and finite per-request averages.
+/// nonzero message count, finite per-request averages, fault counters that
+/// only move under the fault kinds that drive them, and a trace of every
+/// fault that fired. The traces are what seeds 1-80 of fault_sweep show in
+/// every one of their 320 runs per protocol and fault kind.
 inline void check_sweep_run(Oracle& o, const arrowdq::Experiment& e, const RunResult& r) {
   const std::string c = e.label;
   const std::int64_t expected = e.rounds > 0
@@ -138,8 +142,68 @@ inline void check_sweep_run(Oracle& o, const arrowdq::Experiment& e, const RunRe
             c + ": fault counters zero fault-free");
   if (e.fault.message_faults() && !e.fault.has_topology_faults())
     o.check(r.messages_dropped > 0 && r.stabilize_rounds == 0 && r.reselections == 0 &&
-                r.partitions == 0,
-            c + ": loss drops messages and triggers no recovery");
+                r.partitions == 0 && r.recovery_delta_units != 0.0,
+            c + ": loss drops messages, moves the makespan and triggers no recovery");
+  if (!e.fault.has_topology_faults()) return;
+  o.check(r.messages_dropped == 0, c + ": a topology fault drops no message");
+  if (e.fault.has_crash())
+    o.check(r.crashes == e.fault.crash_count, fmt((c + ": crashes applied").c_str(), r.crashes));
+  if (e.fault.has_partition())
+    o.check(r.partitions == e.fault.partition_count,
+            fmt((c + ": partitions applied").c_str(), r.partitions));
+  if (e.protocol.kind != arrowdq::Protocol::kArrowClosedLoop) {
+    // The baselines keep no tree: nothing to stabilize or re-select.
+    o.check(r.stabilize_rounds == 0 && r.reselections == 0,
+            c + ": a baseline runs no tree recovery");
+    return;
+  }
+  // The arrow loop repairs its pointers after every crash, cut and churn
+  // event, so the repair shows in its counters and its makespan.
+  o.check(r.stabilize_rounds > 0 && r.stabilize_corrections > 0,
+          fmt((c + ": recovery waves ran").c_str(), r.stabilize_rounds));
+  o.check(r.recovery_delta_units != 0.0,
+          fmt((c + ": the fault moved the makespan").c_str(), r.recovery_delta_units));
+  if (e.fault.has_churn())
+    o.check(r.reselections > 0, fmt((c + ": churn re-selected tree edges").c_str(),
+                                    r.reselections));
+}
+
+/// A whole fault sweep: one result per cell with `replicas` runs, each run
+/// checked on its own. A baseline's crash or cut often changes nothing a run
+/// reports (the deliveries it defers are few), but churn always does
+/// somewhere: in every sweep of seeds 1-80, at least one churn run of each
+/// baseline ends at a different makespan than its fault-free twin.
+inline void check_sweep(Oracle& o, const std::vector<arrowdq::Experiment>& cells,
+                        const std::vector<arrowdq::ReplicatedExperimentResult>& results,
+                        int replicas) {
+  using arrowdq::Protocol;
+  o.check(results.size() == cells.size(), "fault_sweep: one result per cell");
+  if (results.size() != cells.size()) return;
+  // Baseline churn runs per protocol (centralized, pointer forwarding): how
+  // many, and how many ended at another makespan than their twin.
+  int churn_runs[2] = {0, 0}, churn_moved[2] = {0, 0};
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::vector<RunResult>& runs = results[i].result.runs;
+    o.check(runs.size() == static_cast<std::size_t>(replicas),
+            cells[i].label + ": one run per replica");
+    const Protocol kind = cells[i].protocol.kind;
+    const bool baseline_churn =
+        cells[i].fault.has_churn() &&
+        (kind == Protocol::kCentralized || kind == Protocol::kPointerForwarding);
+    const int b = kind == Protocol::kCentralized ? 0 : 1;
+    for (const RunResult& r : runs) {
+      check_sweep_run(o, cells[i], r);
+      if (!baseline_churn) continue;
+      ++churn_runs[b];
+      if (r.recovery_delta_units != 0.0) ++churn_moved[b];
+    }
+  }
+  const char* names[2] = {"centralized", "forwarding"};
+  for (int b = 0; b < 2; ++b)
+    if (churn_runs[b] > 0)
+      o.check(churn_moved[b] > 0, std::string("fault_sweep: churn moves some makespan of ") +
+                                      names[b] + " (" + std::to_string(churn_runs[b]) +
+                                      " churn runs)");
 }
 
 /// One runtime run: every node completed its rounds, each acquire was

@@ -9,9 +9,9 @@
 //   perfbench_harness --selftest-watchdog    a livelocked cell must be cut off
 //
 // Workloads: fig10_sync, fig10_async and fault_sweep (BENCHMARK.json's list),
-// plus fig10_async_k2 and rt_mutex, whose two-thread throughput swings too
-// much with host scheduling to carry a bounded metric. perfbench/NOTES.md
-// says what each one stresses and why.
+// plus rt_mutex, whose two-thread throughput swings too much with host
+// scheduling to carry a bounded metric. perfbench/NOTES.md says what each one
+// stresses and why.
 //
 // --trace 0 reports the end-to-end metrics: setup_s (median of repeated
 // set-ups of the workload's inputs), queue_ops_per_s (median over the timed
@@ -271,17 +271,16 @@ class Workload {
 };
 
 /// Figure 10 closed loop on an implicit hypercube (the paper's Section 5
-/// cell), served by the serial implicit driver or, with shards > 1, by the
-/// sharded engine. The traced run times the serial driver and, when
-/// traced_shards > 1, the sharded engine on the same cell.
+/// cell), served by the serial implicit driver. The traced run times the
+/// serial driver and, when traced_shards > 1, the sharded engine on the same
+/// cell.
 class Fig10 final : public Workload {
  public:
-  Fig10(int dims, std::int64_t rounds, LatencySpec latency, int shards, int traced_shards,
+  Fig10(int dims, std::int64_t rounds, LatencySpec latency, int traced_shards,
         std::uint64_t seed, std::optional<perfbench::Fig10SyncPins> pins, Band hops,
         Band round_latency)
-      : dims_(dims), rounds_(rounds), latency_(latency), shards_(shards),
-        traced_shards_(traced_shards), seed_(seed), pins_(pins), hops_(hops),
-        round_latency_(round_latency) {}
+      : dims_(dims), rounds_(rounds), latency_(latency), traced_shards_(traced_shards),
+        seed_(seed), pins_(pins), hops_(hops), round_latency_(round_latency) {}
 
   void setup() override {
     Experiment e;
@@ -289,7 +288,7 @@ class Fig10 final : public Workload {
     e.topology = TopologySpec::hypercube(dims_);
     e.latency = latency_;
     e.rounds = rounds_;
-    e.shards = capped(shards_);
+    e.shards = 1;
     e = e.with_seed(seed_);
     e.label = e.default_label();
     valid_ = !validate_experiment(e).has_value();
@@ -319,16 +318,6 @@ class Fig10 final : public Workload {
     }
     perfbench::check_identical(o, last_, *reference_,
                                cell_.label + ": repeat run reproduces the first");
-  }
-
-  void final_checks(Oracle& o) override {
-    if (shards_ <= 1) return;
-    phase("serial twin of the sharded cell");
-    Experiment serial = cell_;
-    serial.shards = 1;
-    perfbench::check_identical(
-        o, run_experiment(serial), *reference_,
-        cell_.label + ": sharded run reproduces the serial cell bit-for-bit");
   }
 
   std::int64_t traced_rep() override {
@@ -387,7 +376,6 @@ class Fig10 final : public Workload {
     m["exp.overhead_s"] = exp_s - serial_s;
     if (traced_shards_ <= 1) return;
     const double par_s = median(perfbench::durations(spans, "parallel.closed_loop"));
-    if (shards_ > 1) m["exp.overhead_s"] = exp_s - par_s;
     m["parallel.closed_loop_s"] = par_s;
     m["parallel.windows"] = static_cast<double>(stats.windows);
     m["parallel.merged_entries"] = static_cast<double>(stats.merged_entries);
@@ -405,8 +393,6 @@ class Fig10 final : public Workload {
       m["parallel.speedup_vs_k1"] = std::nullopt;
   }
 
-  int threads_used() const override { return capped(shards_); }
-
  private:
   std::int64_t requests() const {
     return static_cast<std::int64_t>(cell_.topology.nodes) * rounds_;
@@ -423,8 +409,7 @@ class Fig10 final : public Workload {
   const int dims_;
   const std::int64_t rounds_;
   const LatencySpec latency_;
-  const int shards_;         // requested; capped to the core count when used
-  const int traced_shards_;  // likewise, for the traced run's sharded driver
+  const int traced_shards_;  // requested; capped to the core count when used
   const std::uint64_t seed_;
   const std::optional<perfbench::Fig10SyncPins> pins_;
   const Band hops_;
@@ -760,31 +745,17 @@ class FaultSweep final : public Workload {
       for (const Proto& p : one_shots)
         for (const char* f : one_shot_faults) add(p, topo, f, false);
     }
-    // run_replicated's cell x replica flattening, for the traced map.
-    flat_.clear();
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      flat_.push_back(cells_[i]);
-      for (int r = 1; r < kReplicas; ++r)
-        flat_.push_back(cells_[i].with_seed(replica_seed(seed_, i, r)));
-    }
   }
 
   std::int64_t run_once() override {
-    const std::vector<ReplicatedExperimentResult> cells =
-        run_replicated(cells_, ReplicationSpec{kReplicas, seed_, 0.95}, SweepRunner(threads()));
-    last_.clear();
-    for (const ReplicatedExperimentResult& c : cells)
-      for (const RunResult& r : c.result.runs) last_.push_back(r);
+    last_ = run_replicated(cells_, ReplicationSpec{kReplicas, seed_, 0.95}, SweepRunner(threads()));
     return ops(last_);
   }
 
   void check_last(Oracle& o) override {
-    o.check(last_.size() == flat_.size(), "fault_sweep: one result per cell x replica");
-    if (last_.size() != flat_.size()) return;
     if (reference_.empty()) {
       o.check(valid_, "fault_sweep: every cell parses and validates");
-      for (std::size_t i = 0; i < flat_.size(); ++i)
-        perfbench::check_sweep_run(o, flat_[i], last_[i]);
+      perfbench::check_sweep(o, cells_, last_, kReplicas);
       reference_ = last_;
       return;
     }
@@ -793,38 +764,42 @@ class FaultSweep final : public Workload {
 
   void final_checks(Oracle& o) override { rt_.final_checks(o); }
 
+  /// run_replicated under one span; its per-cell seconds (summed over the
+  /// cell's replicas) give the map's busy share and its slowest cell.
   std::int64_t traced_rep() override {
-    std::vector<RunResult> out;
+    std::int64_t n = 0;
     {
       Scope map("sweep.map");
-      const int parent = map.id();
-      out = SweepRunner(threads()).map<RunResult>(flat_.size(), [&](std::size_t i) {
-        Scope s("sweep.cell", static_cast<int>(i), parent);
-        return run_experiment(flat_[i]);
-      });
+      n = run_once();
     }
-    last_ = std::move(out);
-    return ops(last_);
+    for (std::size_t i = 0; i < last_.size(); ++i) {
+      traced_cell_s_ += last_[i].seconds;
+      if (last_[i].seconds > max_cell_s_) {
+        max_cell_s_ = last_[i].seconds;
+        max_cell_ = i;
+      }
+    }
+    return n;
   }
 
   void decompose(Oracle& o, LayerValues& m) override {
     std::int64_t edges = 0;
     bool reproduced = true;
-    for (std::size_t i = 0; i < flat_.size(); ++i) {
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
       phase("decomposition: fault_sweep cell");
       const int cell = static_cast<int>(i);
       Scope c("exp.cell", cell);
       RunResult whole;
       {
         Scope s("exp.run_experiment", cell);
-        whole = run_experiment(flat_[i]);
+        whole = run_experiment(cells_[i]);
       }
-      const RunResult parts = decomposed_run(flat_[i], cell, edges);
+      const RunResult parts = decomposed_run(cells_[i], cell, edges);
       const bool same = parts.makespan == whole.makespan &&
                         parts.total_requests == whole.total_requests &&
                         parts.messages == whole.messages && parts.total_hops == whole.total_hops &&
                         parts.messages_dropped == whole.messages_dropped;
-      if (!same) std::fprintf(stderr, "decomposition differs on %s\n", flat_[i].label.c_str());
+      if (!same) std::fprintf(stderr, "decomposition differs on %s\n", cells_[i].label.c_str());
       reproduced = reproduced && same;
     }
     o.check(reproduced, "fault_sweep: the decomposed layer calls reproduce run_experiment");
@@ -856,26 +831,28 @@ class FaultSweep final : public Workload {
             perfbench::fmt("fault_sweep: layer calls reconcile with run_experiment within 10%",
                            covered));
 
-    // Counters from the results themselves (the first, checked sweep).
+    // Counters from the results themselves (every replica of the first,
+    // checked sweep).
     double msgs = 0, dropped = 0, backlog = 0, base_msgs = 0, base_reqs = 0;
     double stab = 0, corr = 0, resel = 0, loop_hops = 0, loop_reqs = 0;
-    for (std::size_t i = 0; i < flat_.size(); ++i) {
-      const RunResult& r = reference_[i];
-      const Protocol kind = flat_[i].protocol.kind;
-      msgs += static_cast<double>(r.messages);
-      dropped += static_cast<double>(r.messages_dropped);
-      backlog += static_cast<double>(r.partition_backlog_drained);
-      if (kind == Protocol::kCentralized || kind == Protocol::kPointerForwarding) {
-        base_msgs += static_cast<double>(r.messages);
-        base_reqs += static_cast<double>(r.total_requests);
-      } else {
-        stab += r.stabilize_rounds;
-        corr += r.stabilize_corrections;
-        resel += r.reselections;
-      }
-      if (kind == Protocol::kArrowClosedLoop) {
-        loop_hops += static_cast<double>(r.total_hops);
-        loop_reqs += static_cast<double>(r.total_requests);
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      const Protocol kind = cells_[i].protocol.kind;
+      for (const RunResult& r : reference_[i].result.runs) {
+        msgs += static_cast<double>(r.messages);
+        dropped += static_cast<double>(r.messages_dropped);
+        backlog += static_cast<double>(r.partition_backlog_drained);
+        if (kind == Protocol::kCentralized || kind == Protocol::kPointerForwarding) {
+          base_msgs += static_cast<double>(r.messages);
+          base_reqs += static_cast<double>(r.total_requests);
+        } else {
+          stab += r.stabilize_rounds;
+          corr += r.stabilize_corrections;
+          resel += r.reselections;
+        }
+        if (kind == Protocol::kArrowClosedLoop) {
+          loop_hops += static_cast<double>(r.total_hops);
+          loop_reqs += static_cast<double>(r.total_requests);
+        }
       }
     }
     m["fault.dropped_frac"] = dropped / msgs;
@@ -887,20 +864,13 @@ class FaultSweep final : public Workload {
     m["arrow.tree_msgs_per_op"] = loop_hops / loop_reqs;
 
     const std::vector<double> maps = perfbench::durations(spans, "sweep.map");
-    double cell_sum = 0.0, map_sum = 0.0;
-    const perfbench::Span* slowest = nullptr;
-    for (const perfbench::Span& sp : spans) {
-      if (std::strcmp(sp.name, "sweep.cell") != 0) continue;
-      cell_sum += sp.seconds();
-      if (!slowest || sp.seconds() > slowest->seconds()) slowest = &sp;
-    }
+    double map_sum = 0.0;
     for (double x : maps) map_sum += x;
     m["sweep.map_s"] = median(maps);
-    m["sweep.busy_frac"] = map_sum > 0.0 ? cell_sum / (map_sum * threads()) : 0.0;
-    m["sweep.max_cell_s"] = slowest ? slowest->seconds() : 0.0;
-    if (slowest)
-      std::printf("slowest sweep cell: %s (%.4f s)\n",
-                  flat_[static_cast<std::size_t>(slowest->cell)].label.c_str(), slowest->seconds());
+    m["sweep.busy_frac"] = map_sum > 0.0 ? traced_cell_s_ / (map_sum * threads()) : 0.0;
+    m["sweep.max_cell_s"] = max_cell_s_;
+    std::printf("slowest sweep cell (replicas summed): %s (%.4f s)\n",
+                cells_[max_cell_].label.c_str(), max_cell_s_);
     rt_.decompose(o, m);
   }
 
@@ -914,26 +884,34 @@ class FaultSweep final : public Workload {
 
   static int threads() { return capped(4); }
 
-  static std::int64_t ops(const std::vector<RunResult>& runs) {
+  static std::int64_t ops(const std::vector<ReplicatedExperimentResult>& cells) {
     std::int64_t n = 0;
-    for (const RunResult& r : runs) n += r.total_requests;
+    for (const ReplicatedExperimentResult& c : cells)
+      for (const RunResult& r : c.result.runs) n += r.total_requests;
     return n;
   }
 
-  bool same_as_reference(const std::vector<RunResult>& runs) const {
-    if (runs.size() != reference_.size()) return false;
-    for (std::size_t i = 0; i < runs.size(); ++i)
-      if (!perfbench::same_observables(runs[i], reference_[i])) return false;
+  bool same_as_reference(const std::vector<ReplicatedExperimentResult>& cells) const {
+    if (cells.size() != reference_.size()) return false;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const std::vector<RunResult>& a = cells[i].result.runs;
+      const std::vector<RunResult>& b = reference_[i].result.runs;
+      if (a.size() != b.size()) return false;
+      for (std::size_t r = 0; r < a.size(); ++r)
+        if (!perfbench::same_observables(a[r], b[r])) return false;
+    }
     return true;
   }
 
   const std::uint64_t seed_;
   std::vector<Experiment> cells_;
-  std::vector<Experiment> flat_;  // cell x replica, run_replicated's order
   bool valid_ = false;
-  std::vector<RunResult> last_;       // flattened like flat_
-  std::vector<RunResult> reference_;  // the first (checked) sweep
-  RtMutex rt_;                        // the runtime pass, outside the timed region
+  std::vector<ReplicatedExperimentResult> last_;
+  std::vector<ReplicatedExperimentResult> reference_;  // the first (checked) sweep
+  double traced_cell_s_ = 0.0;  // summed cell seconds over the traced maps
+  double max_cell_s_ = 0.0;     // slowest cell of any traced map
+  std::size_t max_cell_ = 0;
+  RtMutex rt_;  // the runtime pass, outside the timed region
 };
 
 // fig10_async bands: across seeds hops/op sits at 1.710-1.716 and the mean
@@ -947,14 +925,13 @@ constexpr perfbench::Fig10SyncPins kFig10SyncPins{4194304, 47232, 9063591, 61264
 
 std::unique_ptr<Workload> make_workload(const std::string& name, std::uint64_t seed) {
   if (name == "fig10_sync")
-    return std::make_unique<Fig10>(20, 4, LatencySpec::synchronous(), 1, 0, seed,
-                                   kFig10SyncPins, Band{}, Band{});
+    return std::make_unique<Fig10>(20, 4, LatencySpec::synchronous(), 0, seed, kFig10SyncPins,
+                                   Band{}, Band{});
   // fig10_async's traced run also times the sharded engine on its cell, so
-  // the sim/parallel layer is measured without the K=2 workload.
-  if (name == "fig10_async" || name == "fig10_async_k2")
-    return std::make_unique<Fig10>(14, 64, LatencySpec::truncated_exp(0, 0.3),
-                                   name == "fig10_async" ? 1 : 2, 2, seed, std::nullopt,
-                                   kAsyncHops, kAsyncRoundLatency);
+  // the sim/parallel layer is measured without a sharded workload.
+  if (name == "fig10_async")
+    return std::make_unique<Fig10>(14, 64, LatencySpec::truncated_exp(0, 0.3), 2, seed,
+                                   std::nullopt, kAsyncHops, kAsyncRoundLatency);
   if (name == "fault_sweep") return std::make_unique<FaultSweep>(seed);
   if (name == "rt_mutex") return std::make_unique<RtMutex>();
   return nullptr;
@@ -1045,6 +1022,54 @@ int run_selftest() {
   expect("sweep run with an extra request", true,
          [&](Oracle& o) { perfbench::check_sweep_run(o, lossy, extra); });
 
+  // Arrow loops under each topology fault, and copies in which the fault
+  // left no trace, as if its handling had been skipped.
+  auto faulty = [&](ProtocolSpec protocol, const char* fault) {
+    Experiment e = lossy;
+    e.protocol = protocol;
+    e.topology = TopologySpec::random_tree(64, 3);
+    e.rounds = 100;
+    e.fault = *parse_fault_spec(fault);
+    e.label = std::string("selftest ") + fault;
+    return e;
+  };
+  const ProtocolSpec arrow_loop = ProtocolSpec::arrow_closed_loop(kService);
+  const Experiment crash_cell = faulty(arrow_loop, "crash:2");
+  const Experiment cut_cell = faulty(arrow_loop, "partition:2:4:8");
+  const Experiment churn_cell = faulty(arrow_loop, "churn:8");
+  const RunResult crash_run = run_experiment(crash_cell);
+  const RunResult cut_run = run_experiment(cut_cell);
+  const RunResult churn_run = run_experiment(churn_cell);
+  expect("sweep runs under crash, partition and churn", false, [&](Oracle& o) {
+    perfbench::check_sweep_run(o, crash_cell, crash_run);
+    perfbench::check_sweep_run(o, cut_cell, cut_run);
+    perfbench::check_sweep_run(o, churn_cell, churn_run);
+  });
+  RunResult no_recovery = crash_run;
+  no_recovery.stabilize_rounds = 0;
+  no_recovery.stabilize_corrections = 0;
+  expect("crash run whose recovery never ran", true,
+         [&](Oracle& o) { perfbench::check_sweep_run(o, crash_cell, no_recovery); });
+  RunResult no_cut = cut_run;
+  no_cut.partitions = 0;
+  expect("partition run that applied no cut", true,
+         [&](Oracle& o) { perfbench::check_sweep_run(o, cut_cell, no_cut); });
+  RunResult no_churn = churn_run;
+  no_churn.reselections = 0;
+  expect("churn run that re-selected nothing", true,
+         [&](Oracle& o) { perfbench::check_sweep_run(o, churn_cell, no_churn); });
+  const std::vector<Experiment> baseline_churn = {
+      faulty(ProtocolSpec::centralized(0, kService), "churn:8"),
+      faulty(ProtocolSpec::pointer_forwarding(ForwardingMode::kCompressToRequester, kService),
+             "churn:8")};
+  std::vector<ReplicatedExperimentResult> churned =
+      run_replicated(baseline_churn, ReplicationSpec{2, 5, 0.95});
+  expect("baseline churn sweep", false,
+         [&](Oracle& o) { perfbench::check_sweep(o, baseline_churn, churned, 2); });
+  for (RunResult& r : churned[0].result.runs) r.recovery_delta_units = 0.0;
+  expect("baseline churn that never moved a makespan", true,
+         [&](Oracle& o) { perfbench::check_sweep(o, baseline_churn, churned, 2); });
+
   // A real recorded runtime run and corrupted copies of its history.
   Experiment rt_cell;
   rt_cell.protocol = ProtocolSpec::arrow_closed_loop(kService);
@@ -1118,7 +1143,7 @@ int usage() {
                "usage: perfbench_harness --workload NAME --seed N --seconds S --trace 0|1 "
                "[--deadline S]\n"
                "       perfbench_harness --selftest | --selftest-watchdog [--deadline S]\n"
-               "  NAME: fig10_sync | fig10_async | fig10_async_k2 | fault_sweep | rt_mutex\n");
+               "  NAME: fig10_sync | fig10_async | fault_sweep | rt_mutex\n");
   return 2;
 }
 

@@ -21,7 +21,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("fig10_sync", "fig10_async", "fig10_async_k2", "fault_sweep", "rt_mutex")
+WORKLOADS = ("fig10_sync", "fig10_async", "fault_sweep", "rt_mutex")
 # Every run must end within 180 s; the harness watchdog fires a little
 # earlier, and this script kills the harness as a last resort.
 DEADLINE_S = 170.0

@@ -66,15 +66,13 @@ inline Tracer& tracer() {
 /// Innermost open span on the calling thread (-1 outside any span).
 inline thread_local int t_open_span = -1;
 
-/// Records one span around its lifetime when tracing is on. Spans opened on
-/// a worker thread name their parent explicitly (the thread has no open
-/// span of its own).
+/// Records one span around its lifetime when tracing is on; its parent is
+/// the innermost span open on the calling thread.
 class Scope {
  public:
-  explicit Scope(const char* name, int cell = -1) : Scope(name, cell, t_open_span) {}
-  Scope(const char* name, int cell, int parent) {
+  explicit Scope(const char* name, int cell = -1) {
     if (!tracer().on()) return;
-    id_ = tracer().open(name, cell, parent);
+    id_ = tracer().open(name, cell, t_open_span);
     saved_ = t_open_span;
     t_open_span = id_;
   }
