@@ -686,6 +686,8 @@ class RtMutex final : public Workload {
 /// run_replicated over materialized randtree and geometric topologies at
 /// n = 512 with uniform:0.1 latency: closed loops of three protocols under
 /// five fault schedules, and one-shot protocols with and without loss.
+/// The sweep runs on one SweepRunner thread: with one thread per vCPU of a
+/// shared host its wall time measured the host's scheduler (NOTES.md).
 /// One-shot arrow runs with loss only: under crash, partition or churn it
 /// can livelock (NOTES.md lists the reproducers). After the timed region
 /// the rt_mutex runtime pass runs once with its history checked; the traced
@@ -748,7 +750,7 @@ class FaultSweep final : public Workload {
   }
 
   std::int64_t run_once() override {
-    last_ = run_replicated(cells_, ReplicationSpec{kReplicas, seed_, 0.95}, SweepRunner(threads()));
+    last_ = run_replicated(cells_, ReplicationSpec{kReplicas, seed_, 0.95}, SweepRunner(kThreads));
     return ops(last_);
   }
 
@@ -867,14 +869,14 @@ class FaultSweep final : public Workload {
     double map_sum = 0.0;
     for (double x : maps) map_sum += x;
     m["sweep.map_s"] = median(maps);
-    m["sweep.busy_frac"] = map_sum > 0.0 ? traced_cell_s_ / (map_sum * threads()) : 0.0;
+    m["sweep.busy_frac"] = map_sum > 0.0 ? traced_cell_s_ / (map_sum * kThreads) : 0.0;
     m["sweep.max_cell_s"] = max_cell_s_;
     std::printf("slowest sweep cell (replicas summed): %s (%.4f s)\n",
                 cells_[max_cell_].label.c_str(), max_cell_s_);
     rt_.decompose(o, m);
   }
 
-  int threads_used() const override { return threads(); }
+  int threads_used() const override { return kThreads; }
 
  private:
   static constexpr NodeId kNodes = 512;
@@ -882,7 +884,7 @@ class FaultSweep final : public Workload {
   static constexpr int kReplicas = 2;
   static constexpr double kReconcileTolerance = 0.10;
 
-  static int threads() { return capped(4); }
+  static constexpr int kThreads = 1;
 
   static std::int64_t ops(const std::vector<ReplicatedExperimentResult>& cells) {
     std::int64_t n = 0;
