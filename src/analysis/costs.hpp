@@ -26,7 +26,7 @@ using DistFn = std::function<Time(NodeId, NodeId)>;
 
 /// dT over the spanning tree (tree must outlive the function).
 DistFn tree_dist_ticks(const Tree& tree);
-/// dG over the graph via precomputed APSP (apsp must outlive the function).
+/// dG over the graph via an AllPairs table (apsp must outlive the function).
 DistFn graph_dist_ticks(const AllPairs& apsp);
 
 /// Cost of ordering request rj immediately after ri.

@@ -33,7 +33,9 @@ struct UnitDist {
   const char* name() const { return "unit"; }
 };
 
-/// dG-based oracle over a precomputed APSP (must outlive the oracle).
+/// dG-based oracle over an AllPairs table (must outlive the oracle). The
+/// table fills the rows the draws touch, thread-safely, so sharded lanes may
+/// share one oracle.
 struct ApspDist {
   const AllPairs* apsp = nullptr;
   Time operator()(NodeId u, NodeId v) const { return units_to_ticks(apsp->dist(u, v)); }
@@ -51,7 +53,7 @@ struct FnDist {
 // --- Closed-form oracles for the structured topology families --------------
 //
 // On path/ring/grid/torus/hypercube the graph distance is a formula of the
-// node ids, so the baselines can draw dG without an O(n^2) APSP table — the
+// node ids, so the baselines can draw dG without an AllPairs table — the
 // piece that capped single runs in the tens of thousands of nodes. Each
 // oracle mirrors the node numbering of the corresponding generator in
 // graph/generators.cpp (unit edge weights); tests/scale_test.cpp pins every
@@ -115,7 +117,7 @@ struct HypercubeDist {
   const char* name() const { return "hypercube"; }
 };
 
-/// dG-based oracle from a precomputed APSP (must outlive the returned fn).
+/// dG-based oracle from an AllPairs table (must outlive the returned fn).
 DistTicksFn apsp_dist_fn(const AllPairs& apsp);
 
 /// Complete-graph oracle: one unit between any two distinct nodes.

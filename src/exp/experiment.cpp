@@ -442,7 +442,7 @@ DistTicksFn dist_fn(Dist dist) {
 }  // namespace
 
 template <>
-RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, Resolved& r) {
+RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, const Resolved& r) {
   auto model = e.latency.make();
   const int shards = effective_shards(e);
   if (shards > 1) {
@@ -488,7 +488,7 @@ RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, Resolved& r
 }
 
 template <>
-RunResult run_protocol<Protocol::kArrowClosedLoop>(const Experiment& e, Resolved& r) {
+RunResult run_protocol<Protocol::kArrowClosedLoop>(const Experiment& e, const Resolved& r) {
   ARROWDQ_ASSERT_MSG(e.rounds > 0, "arrow closed loop needs rounds > 0");
   auto model = e.latency.make();
   ClosedLoopConfig cfg;
@@ -532,7 +532,7 @@ RunResult run_protocol<Protocol::kArrowClosedLoop>(const Experiment& e, Resolved
 }
 
 template <>
-RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, Resolved& r) {
+RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, const Resolved& r) {
   CentralizedConfig cfg;
   cfg.center = e.protocol.center;
   cfg.service_time = e.protocol.service_time;
@@ -581,7 +581,7 @@ RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, Resolved& r)
 }
 
 template <>
-RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, Resolved& r) {
+RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, const Resolved& r) {
   PointerForwardingConfig cfg;
   cfg.mode = e.protocol.mode;
   cfg.service_time = e.protocol.service_time;
@@ -634,7 +634,7 @@ RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, Resolv
 }
 
 template <>
-RunResult run_protocol<Protocol::kTokenPassing>(const Experiment& e, Resolved& r) {
+RunResult run_protocol<Protocol::kTokenPassing>(const Experiment& e, const Resolved& r) {
   // The token rides on an arrow execution: queue first (consuming the
   // latency model's stream exactly as a standalone arrow run would), then
   // circulate the token through the same model — identical to the legacy
@@ -703,8 +703,9 @@ Resolved resolve(const Experiment& e) {
   r.cols = t.cols;
   if (is_baseline(e)) {
     if (!plan.fam) {
-      // Irregular family: the oracle is a per-run APSP table (O(n^2),
-      // capped by validate_experiment()).
+      // Irregular family: the oracle is a per-run AllPairs table whose
+      // rows fill on demand (a centralized run fills one; capped by
+      // validate_experiment()).
       r.apsp.emplace(r.graph);
       r.dist = DistOracle::kApsp;
     } else {
@@ -787,9 +788,13 @@ std::optional<std::string> validate_experiment(const Experiment& e) {
              (plan.fam ? " because the protocol/tree/analysis settings force a real graph"
                        : "");
   }
+  if (e.protocol.kind == Protocol::kCentralized &&
+      (e.protocol.center < 0 || e.protocol.center >= t.nodes))
+    return std::string("centralized: center ") + std::to_string(e.protocol.center) +
+           " is not a node (must be in [0, " + std::to_string(t.nodes) + "))";
   if (exp_detail::is_baseline(e) && !plan.fam && t.nodes > kMaxApspNodes)
-    return std::string(t.family_name()) + ": baseline distance oracle needs an O(n^2) APSP " +
-           "table; " + std::to_string(t.nodes) + " nodes exceeds the " +
+    return std::string(t.family_name()) + ": baseline distance oracle can fill an O(n^2) " +
+           "AllPairs table; " + std::to_string(t.nodes) + " nodes exceeds the " +
            std::to_string(kMaxApspNodes) + "-node cap";
   if (e.shards > 1) {
     if (e.protocol.kind == Protocol::kTokenPassing)
@@ -844,11 +849,16 @@ RunResult run_experiment(const Experiment& e) {
   ARROWDQ_ASSERT_MSG(!e.analyze || e.keep_outcome,
                      "Experiment::analyze requires keep_outcome");
   if (auto err = validate_experiment(e)) ARROWDQ_ASSERT_MSG(false, err->c_str());
-  exp_detail::Resolved r = exp_detail::resolve(e);
-  RunResult res = exp_detail::kDriverRegistry[index](e, r);
-  res.peak_rss_bytes = peak_rss_bytes_now();
-  if (e.analyze && res.outcome)
-    res.competitive = analyze_competitive(r.graph, r.tree, r.requests, *res.outcome);
+  RunResult res;
+  {
+    // Scoped so the run's graph, tree and distance rows are freed before the
+    // fault-free twin below resolves its own.
+    const exp_detail::Resolved r = exp_detail::resolve(e);
+    res = exp_detail::kDriverRegistry[index](e, r);
+    res.peak_rss_bytes = peak_rss_bytes_now();
+    if (e.analyze && res.outcome)
+      res.competitive = analyze_competitive(r.graph, r.tree, r.requests, *res.outcome);
+  }
   if (e.fault.active()) {
     // Recovery cost in one number: re-run the identical scenario fault-free
     // (same seeds, same topology/workload/latency) and report the makespan

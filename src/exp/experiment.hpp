@@ -439,8 +439,9 @@ struct Experiment {
 /// Pre-flight check for run_experiment: TopologySpec::validate() plus
 /// materialization guards. Refuses combinations that would materialize an
 /// absurd structure — e.g. `complete` at n = 10^6 (~10^12 edges) on a path
-/// that needs the adjacency, or an O(n^2) APSP table past ~8k nodes —
-/// with a diagnostic instead of OOM-ing. Structured families on their
+/// that needs the adjacency, or an AllPairs table that could fill O(n^2)
+/// past ~8k nodes — with a diagnostic instead of OOM-ing, and a centralized
+/// center outside [0, nodes) instead of an assertion deep in the run. Structured families on their
 /// implicit paths (closed-form oracles / implicit arrow loop) pass at any
 /// n up to the 2^28 id cap. CLI front ends print the diagnostic and exit
 /// 2; run_experiment asserts on it.

@@ -30,12 +30,12 @@ namespace arrowdq {
 namespace exp_detail {
 
 /// Which dG oracle the baseline drivers draw distances from. The structured
-/// families use the closed forms of baseline/dist.hpp — no APSP table — so
-/// only the irregular families (geometric, random/weighted tree, custom)
-/// still pay O(n^2).
+/// families use the closed forms of baseline/dist.hpp — no table at all; the
+/// irregular families (geometric, random/weighted tree, custom) read an
+/// AllPairs table that fills one Dijkstra row per node it is asked about.
 enum class DistOracle : std::uint8_t {
   kUnit,       // complete graph
-  kApsp,       // irregular families: per-run APSP table
+  kApsp,       // irregular families: per-run AllPairs, rows filled on demand
   kPath,
   kRing,
   kGrid,
@@ -46,8 +46,9 @@ enum class DistOracle : std::uint8_t {
 /// Everything a driver needs, materialized once per run from the value
 /// specs. On the materialized tier: private graph/tree copies (Graph's lazy
 /// edge index is not thread-safe to share), the request schedule for
-/// one-shot protocols, and the APSP table behind the baselines' oracle on
-/// irregular topologies. On the scale tier, resolve() leaves `graph` (and
+/// one-shot protocols, and the AllPairs table behind the baselines' oracle on
+/// irregular topologies (its rows fill on demand, thread-safely, so sharded
+/// lanes share it through the const dist()). On the scale tier, resolve() leaves `graph` (and
 /// where possible `tree`) empty: structured families carry closed forms for
 /// distance, adjacency, and the canonical tree parent, so baselines draw dG
 /// straight from a formula and the arrow closed loop runs fully implicit.
@@ -69,7 +70,7 @@ struct Resolved {
   bool implicit_loop = false;
 };
 
-using DriverFn = RunResult (*)(const Experiment&, Resolved&);
+using DriverFn = RunResult (*)(const Experiment&, const Resolved&);
 
 /// Materialize (or deliberately skip materializing) everything `e`'s driver
 /// needs. Exposed for tests probing the scale-path decisions (e.g. that no
@@ -77,18 +78,18 @@ using DriverFn = RunResult (*)(const Experiment&, Resolved&);
 Resolved resolve(const Experiment& e);
 
 template <Protocol P>
-RunResult run_protocol(const Experiment& e, Resolved& r);
+RunResult run_protocol(const Experiment& e, const Resolved& r);
 
 template <>
-RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, Resolved& r);
+RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, const Resolved& r);
 template <>
-RunResult run_protocol<Protocol::kArrowClosedLoop>(const Experiment& e, Resolved& r);
+RunResult run_protocol<Protocol::kArrowClosedLoop>(const Experiment& e, const Resolved& r);
 template <>
-RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, Resolved& r);
+RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, const Resolved& r);
 template <>
-RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, Resolved& r);
+RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, const Resolved& r);
 template <>
-RunResult run_protocol<Protocol::kTokenPassing>(const Experiment& e, Resolved& r);
+RunResult run_protocol<Protocol::kTokenPassing>(const Experiment& e, const Resolved& r);
 
 inline constexpr std::array<DriverFn, kProtocolCount> kDriverRegistry = {
     &run_protocol<Protocol::kArrowOneShot>,

@@ -9,8 +9,9 @@ StretchReport stretch_exact(const AllPairs& apsp, const Tree& t) {
   double sum = 0.0;
   std::int64_t pairs = 0;
   for (NodeId u = 0; u < apsp.node_count(); ++u) {
+    const auto row = apsp.row(u);
     for (NodeId v = u + 1; v < apsp.node_count(); ++v) {
-      Weight dg = apsp.dist(u, v);
+      Weight dg = row[static_cast<std::size_t>(v)];
       ARROWDQ_ASSERT_MSG(dg > 0, "stretch of a disconnected graph");
       double ratio = static_cast<double>(t.distance(u, v)) / static_cast<double>(dg);
       sum += ratio;

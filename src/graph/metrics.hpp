@@ -19,8 +19,8 @@ struct StretchReport {
   NodeId worst_v = kNoNode;
 };
 
-/// Exact stretch over all pairs (O(n^2) after APSP). Reuses a precomputed
-/// AllPairs if supplied.
+/// Exact stretch over all pairs (O(n^2) once every AllPairs row is filled).
+/// Reuses a caller's AllPairs table, and the rows it has filled, if supplied.
 StretchReport stretch_exact(const Graph& g, const Tree& t);
 StretchReport stretch_exact(const AllPairs& apsp, const Tree& t);
 

@@ -5,9 +5,14 @@
 // provided by Tree) for the arrow protocol.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "support/assert.hpp"
 #include "support/types.hpp"
 
 namespace arrowdq {
@@ -25,14 +30,36 @@ std::vector<Weight> sssp_with_parents(const Graph& g, NodeId source,
 /// Unweighted BFS hop counts (ignores weights).
 std::vector<Weight> bfs_hops(const Graph& g, NodeId source);
 
-/// All-pairs shortest paths (n Dijkstra runs). Suitable for the n <= a few
-/// thousand graphs used in experiments; result[u][v] is dG(u, v).
+/// All-pairs shortest paths, one Dijkstra row at a time on demand.
+///
+/// The constructor copies the adjacency into a flat CSR and computes nothing
+/// else; row u (dG(u, ·)) is allocated and filled the first time a query
+/// needs it. dist(u, v) serves from row u when that row is filled and
+/// otherwise from row v, filling it first if needed. The graph is
+/// undirected, so either row holds the exact value, and a caller that only
+/// asks for distances to one node (the centralized baseline) fills one row.
+///
+/// Safe to share across threads: rows are filled under a lock and published
+/// with release/acquire, so concurrent const queries are race-free.
 class AllPairs {
  public:
   explicit AllPairs(const Graph& g);
+  AllPairs(AllPairs&&) noexcept;
+  AllPairs& operator=(AllPairs&&) noexcept;
+  ~AllPairs();
 
-  Weight dist(NodeId u, NodeId v) const;
-  NodeId node_count() const { return static_cast<NodeId>(dist_.size()); }
+  Weight dist(NodeId u, NodeId v) const {
+    ARROWDQ_ASSERT(u >= 0 && u < n_);
+    ARROWDQ_ASSERT(v >= 0 && v < n_);
+    if (const Weight* r = ready_[static_cast<std::size_t>(u)].load(std::memory_order_acquire))
+      return r[v];
+    return filled_row(v)[u];
+  }
+  /// dG(u, ·), filling the row first if needed.
+  std::span<const Weight> row(NodeId u) const;
+  NodeId node_count() const { return n_; }
+  /// Number of rows filled so far.
+  NodeId rows_filled() const;
 
   /// Maximum finite pairwise distance (graph diameter); asserts connectivity.
   Weight diameter() const;
@@ -42,7 +69,15 @@ class AllPairs {
   NodeId center() const;
 
  private:
-  std::vector<std::vector<Weight>> dist_;
+  struct Fill;  // the lock, the owned rows and the Dijkstra scratch
+
+  const Weight* filled_row(NodeId u) const;
+
+  NodeId n_ = 0;
+  std::vector<std::size_t> offsets_;  // CSR: node v's arcs are [offsets_[v], offsets_[v + 1])
+  std::vector<HalfEdge> arcs_;
+  std::unique_ptr<std::atomic<const Weight*>[]> ready_;  // nullptr until row u is filled
+  std::unique_ptr<Fill> fill_;
 };
 
 }  // namespace arrowdq

@@ -35,9 +35,10 @@ struct TreeSearchResult {
   int examined_swaps = 0;
 };
 
-/// Improve `seed` by randomized edge swaps against graph g. The APSP of g
-/// is computed once (O(n m log n)); each candidate evaluation is O(n^2), so
-/// keep n in the hundreds.
+/// Improve `seed` by randomized edge swaps against graph g. One AllPairs
+/// table of g fills its rows during the first evaluation (O(n m log n)) and
+/// serves the rest; each candidate evaluation is O(n^2), so keep n in the
+/// hundreds.
 TreeSearchResult improve_tree_stretch(const Graph& g, const Tree& seed,
                                       const TreeSearchOptions& options, Rng& rng);
 

@@ -17,6 +17,8 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "analysis/competitive.hpp"
@@ -283,6 +285,29 @@ TEST(Experiment, TokenPassingMatchesLegacySequence) {
     EXPECT_EQ(res.total_hops, static_cast<std::int64_t>(legacy.token_messages))
         << "seed " << seed;
     EXPECT_EQ(res.messages, engine.messages_sent() + legacy.token_messages) << "seed " << seed;
+  }
+}
+
+// A centralized center outside [0, nodes) is a diagnostic up front, not an
+// assertion inside the driver.
+TEST(Experiment, CentralizedCenterOutOfRangeIsRejected) {
+  for (const TopologySpec& topo :
+       {TopologySpec::geometric(40, /*seed=*/2), TopologySpec::complete(40)}) {
+    for (std::int64_t rounds : {0, 3}) {
+      Experiment e;
+      e.topology = topo;
+      e.rounds = rounds;
+      for (NodeId bad : {-1, 40, 1000}) {
+        e.protocol = ProtocolSpec::centralized(bad);
+        const auto err = validate_experiment(e);
+        ASSERT_TRUE(err.has_value()) << topo.family_name() << " center " << bad;
+        EXPECT_NE(err->find("center"), std::string::npos) << *err;
+      }
+      for (NodeId ok : {0, 39}) {
+        e.protocol = ProtocolSpec::centralized(ok);
+        EXPECT_EQ(validate_experiment(e), std::nullopt) << topo.family_name() << " center " << ok;
+      }
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
+#include "exp/experiment.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/metrics.hpp"
@@ -85,6 +87,100 @@ TEST(AllPairsTest, DiameterRadiusCenter) {
   EXPECT_EQ(ap.radius(), 3);
   EXPECT_EQ(ap.center(), 3);
   EXPECT_EQ(ap.dist(2, 5), 3);
+}
+
+// The lazy table against an eager per-source reference: the binary-heap
+// sssp_with_parents (an independent kernel) and plain sssp, row by row. The
+// fresh table is queried column-major first, so early lookups take the
+// "row u not filled, serve from row v" branch.
+void expect_matches_eager(const Graph& g, const char* what) {
+  const NodeId n = g.node_count();
+  std::vector<std::vector<Weight>> ref;
+  for (NodeId u = 0; u < n; ++u) {
+    std::vector<NodeId> parents;
+    ref.push_back(sssp_with_parents(g, u, parents));
+    ASSERT_EQ(sssp(g, u), ref.back()) << what << " source " << u;
+  }
+  AllPairs ap(g);
+  EXPECT_EQ(ap.rows_filled(), 0) << what;
+  for (NodeId v = n - 1; v >= 0; --v)
+    for (NodeId u = 0; u < n; ++u)
+      ASSERT_EQ(ap.dist(u, v), ref[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)])
+          << what << " pair " << u << "," << v;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto row = ap.row(u);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), ref[static_cast<std::size_t>(u)].begin(),
+                           ref[static_cast<std::size_t>(u)].end()))
+        << what << " row " << u;
+  }
+  EXPECT_EQ(ap.rows_filled(), n) << what;
+}
+
+TEST(AllPairsTest, LazyTableMatchesEagerReference) {
+  expect_matches_eager(TopologySpec::random_tree(150, /*seed=*/4).build_graph(), "randtree");
+  expect_matches_eager(TopologySpec::geometric(160, /*seed=*/6).build_graph(), "geometric");
+  // Weights up to 2^40 units exercise the radix heap's high buckets.
+  expect_matches_eager(
+      TopologySpec::weighted_tree(140, /*seed=*/8, Weight{1} << 40).build_graph(), "wtree");
+  Rng rng(12);
+  expect_matches_eager(make_erdos_renyi(90, 0.08, rng), "erdos-renyi");
+}
+
+TEST(AllPairsTest, DisconnectedRowsHoldUnreachable) {
+  // Components {0, 1, 2}, {3, 4} and the isolated node 5.
+  Graph g(6);
+  g.add_edge(0, 1, 4);
+  g.add_edge(1, 2, 1);
+  g.add_edge(3, 4, Weight{1} << 40);
+  expect_matches_eager(g, "disconnected");
+  AllPairs ap(g);
+  EXPECT_EQ(ap.dist(0, 2), 5);
+  EXPECT_EQ(ap.dist(4, 3), Weight{1} << 40);
+  EXPECT_EQ(ap.dist(0, 3), kUnreachable);
+  EXPECT_EQ(ap.dist(5, 5), 0);
+  for (Weight d : ap.row(5)) EXPECT_EQ(d, d == 0 ? 0 : kUnreachable);
+}
+
+TEST(AllPairsTest, RowsFillOnDemand) {
+  AllPairs ap(make_path(12));
+  EXPECT_EQ(ap.node_count(), 12);
+  EXPECT_EQ(ap.rows_filled(), 0) << "the constructor computes no row";
+  EXPECT_EQ(ap.dist(3, 7), 4);  // row 3 empty: fills row 7
+  EXPECT_EQ(ap.rows_filled(), 1);
+  EXPECT_EQ(ap.dist(7, 3), 4);  // served from row 7
+  EXPECT_EQ(ap.dist(2, 7), 5);  // row 2 empty, row 7 filled
+  EXPECT_EQ(ap.rows_filled(), 1);
+  EXPECT_EQ(ap.dist(3, 9), 6);  // neither row filled: fills row 9
+  EXPECT_EQ(ap.rows_filled(), 2);
+  EXPECT_EQ(ap.row(0)[11], 11);
+  EXPECT_EQ(ap.rows_filled(), 3);
+
+  // A moved table keeps its filled rows.
+  AllPairs moved = std::move(ap);
+  EXPECT_EQ(moved.rows_filled(), 3);
+  EXPECT_EQ(moved.dist(11, 0), 11);
+}
+
+// Values taken from the eager table this one replaced.
+TEST(AllPairsTest, DiameterRadiusCenterPinned) {
+  struct Pin {
+    TopologySpec spec;
+    Weight diameter, radius;
+    NodeId center;
+  };
+  const Pin pins[] = {
+      {TopologySpec::geometric(512, /*seed=*/3), 23, 12, 29},
+      {TopologySpec::random_tree(200, /*seed=*/5), 51, 26, 68},
+      {TopologySpec::weighted_tree(300, /*seed=*/7, Weight{1} << 40), 33229959923792,
+       16737945660028, 160},
+      {TopologySpec::geometric(128, /*seed=*/11, 0.2, 1000), 1398, 745, 77},
+  };
+  for (const Pin& p : pins) {
+    AllPairs ap(p.spec.build_graph());
+    EXPECT_EQ(ap.diameter(), p.diameter) << p.spec.family_name();
+    EXPECT_EQ(ap.radius(), p.radius) << p.spec.family_name();
+    EXPECT_EQ(ap.center(), p.center) << p.spec.family_name();
+  }
 }
 
 TEST(Generators, NodeAndEdgeCounts) {

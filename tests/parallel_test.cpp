@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "arrow/arrow.hpp"
@@ -23,6 +25,7 @@
 #include "baseline/pointer_forwarding.hpp"
 #include "exp/experiment.hpp"
 #include "graph/implicit.hpp"
+#include "graph/shortest_paths.hpp"
 #include "proto/queuing.hpp"
 #include "sim/fault.hpp"
 #include "sim/latency.hpp"
@@ -544,6 +547,74 @@ TEST(ShardedExperiment, NewlyWiredMirrorsMatchSerial) {
     expect_match(fwd_loop, mode == ForwardingMode::kCompressToRequester
                                ? "forwarding closed loop (compress)"
                                : "forwarding closed loop (reverse)");
+  }
+}
+
+// Four threads released together query one fresh table, each in its own
+// pair order, so rows are filled and read concurrently: every answer must
+// match the serial reference, and TSan checks the fill and its publication.
+TEST(AllPairsConcurrency, ThreadsShareOneLazyTable) {
+  const Graph g = TopologySpec::geometric(200, /*seed=*/17).build_graph();
+  const NodeId n = g.node_count();
+  std::vector<std::vector<Weight>> ref;
+  for (NodeId u = 0; u < n; ++u) ref.push_back(sssp(g, u));
+  const AllPairs table(g);
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<std::int64_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (NodeId i = 0; i < n; ++i)
+        for (NodeId j = 0; j < n; ++j) {
+          // Thread t starts a quarter further round the rows, odd ones
+          // walk each row backwards.
+          const NodeId u = (i + t * n / kThreads) % n;
+          const NodeId v = t % 2 ? n - 1 - j : j;
+          if (table.dist(u, v) != ref[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)])
+            ++mismatches[static_cast<std::size_t>(t)];
+        }
+    });
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << t;
+  EXPECT_LE(table.rows_filled(), n);
+}
+
+// On an irregular family both one-shot baselines read a fresh AllPairs
+// table through the shared oracle. Every node requests at t = 0, so the
+// K = 2 lanes start forwarding finds in the same window and fill rows
+// concurrently (TSan covers the fill). Every observable, the full queuing
+// outcome included, must equal the K = 1 run.
+TEST(ShardedExperiment, SharedLazyTableMatchesSerial) {
+  Experiment base;
+  base.topology = TopologySpec::geometric(160, /*seed=*/21);
+  base.latency = LatencySpec::uniform_async(/*seed=*/13, 0.3);
+  base.workload = WorkloadSpec::one_shot_all();
+  base.keep_outcome = true;
+  const auto outcome_hash = [](const RunResult& r) {
+    Fnv1a h;
+    hash_outcome(h, *r.outcome);
+    return h.value();
+  };
+  for (const ProtocolSpec& p :
+       {ProtocolSpec::centralized(/*center=*/37, kTicksPerUnit / 16),
+        ProtocolSpec::pointer_forwarding(ForwardingMode::kCompressToRequester),
+        ProtocolSpec::pointer_forwarding(ForwardingMode::kReverseToSender, kTicksPerUnit / 8)}) {
+    Experiment e = base;
+    e.protocol = p;
+    e.shards = 1;
+    const RunResult serial = run_experiment(e);
+    e.shards = 2;
+    ASSERT_EQ(validate_experiment(e), std::nullopt) << p.name();
+    const RunResult sharded = run_experiment(e);
+    EXPECT_EQ(outcome_hash(serial), outcome_hash(sharded)) << p.name();
+    EXPECT_EQ(serial.makespan, sharded.makespan) << p.name();
+    EXPECT_EQ(serial.messages, sharded.messages) << p.name();
+    EXPECT_EQ(serial.total_hops, sharded.total_hops) << p.name();
+    EXPECT_EQ(serial.total_latency, sharded.total_latency) << p.name();
+    EXPECT_EQ(serial.total_distance, sharded.total_distance) << p.name();
+    EXPECT_EQ(serial.avg_hops_per_request, sharded.avg_hops_per_request) << p.name();
   }
 }
 

@@ -272,6 +272,36 @@ TEST(ScaleResolve, IrregularBaselineStillBuildsApsp) {
   EXPECT_EQ(r.n, 48);
 }
 
+// The irregular-family table fills only the rows a run reads: the
+// centralized driver reads dG(., center) alone, forwarding at most one row
+// per node.
+TEST(ScaleResolve, BaselinesFillOnlyTheRowsTheyRead) {
+  const auto rows_after_run = [](Experiment e) {
+    const exp_detail::Resolved r = exp_detail::resolve(e);
+    EXPECT_EQ(r.apsp->rows_filled(), 0) << "resolve() must not compute rows";
+    exp_detail::kDriverRegistry[static_cast<std::size_t>(e.protocol.kind)](e, r);
+    return r.apsp->rows_filled();
+  };
+  Experiment e;
+  e.topology = TopologySpec::geometric(512, /*seed=*/3);
+  e.latency = LatencySpec::uniform_async(/*seed=*/5, 0.2);
+  e.protocol = ProtocolSpec::centralized(/*center=*/17);
+  e.rounds = 3;
+  EXPECT_EQ(rows_after_run(e), 1) << "centralized closed loop";
+  e.rounds = 0;
+  e.workload = WorkloadSpec::poisson(400, 2.0, /*seed=*/9);
+  EXPECT_EQ(rows_after_run(e), 1) << "centralized one-shot";
+
+  e.protocol = ProtocolSpec::pointer_forwarding(ForwardingMode::kReverseToSender);
+  const NodeId one_shot_rows = rows_after_run(e);
+  EXPECT_GE(one_shot_rows, 1);
+  EXPECT_LE(one_shot_rows, 512);
+  e.rounds = 3;
+  const NodeId loop_rows = rows_after_run(e);
+  EXPECT_GE(loop_rows, 1);
+  EXPECT_LE(loop_rows, 512);
+}
+
 TEST(ScaleResolve, ImplicitLoopFlagSetWithoutCrash) {
   Experiment e;
   e.protocol = ProtocolSpec::arrow_closed_loop();
