@@ -97,8 +97,10 @@ class ArrowEngine {
   std::int32_t reselections() const { return reselections_; }
 
  private:
-  /// Reset per-run protocol state (pointers, ids, simulator) for `requests`.
-  void prepare(const RequestSet& requests);
+  /// Run the one-shot driver on a serial engine selector and keep its
+  /// post-run state.
+  template <typename On, typename Latency, typename Faults>
+  QueuingOutcome run_with(Latency latency, Faults faults, const RequestSet& requests);
 
   const Tree& tree_;
   LatencyModel& latency_;
@@ -107,7 +109,6 @@ class ArrowEngine {
   Graph tree_graph_;
   Simulator sim_;
   std::vector<NodeId> link_;
-  std::vector<RequestId> last_req_;
   std::uint64_t messages_ = 0;
   FaultStats fault_stats_;
   int stabilize_rounds_ = 0;

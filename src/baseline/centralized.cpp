@@ -1,10 +1,10 @@
 #include "baseline/centralized.hpp"
 
+#include <utility>
 #include <vector>
 
-#include "graph/generators.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
+#include "baseline/centralized_driver.hpp"
+#include "sim/engine.hpp"
 #include "support/assert.hpp"
 #include "support/stats.hpp"
 
@@ -16,57 +16,98 @@ DistTicksFn unit_dist_fn() { return DistTicksFn(UnitDist{}); }
 
 namespace {
 
-enum class Kind : std::uint8_t { kRequest, kReply };
+using detail::CentralKind;
+using detail::CentralMsg;
 
-struct CentralMsg {
-  Kind kind = Kind::kRequest;
-  RequestId req = kNoRequest;
-  RequestId pred = kNoRequest;
-  NodeId requester = kNoNode;
-};
-
-/// Shared machinery: a star-shaped protocol where every request goes to the
-/// center and a reply returns. Only send_with_latency is used (the sampler
-/// is never consulted), so the graph passed to Network is a placeholder for
-/// node count / service state and the latency parameter is a stateless
-/// value type. Templated on the handler so deliveries dispatch through a
-/// typed callable, and on the distance oracle so the per-message distance
-/// draw is a direct call (no std::function on the run path for the standard
-/// unit/APSP oracles). The Faults parameter mirrors the arrow drivers: the
-/// fault branch compiles out entirely under NoFaults.
-template <typename Dist, typename Handler, typename Faults = NoFaults>
-class CentralCore {
+/// The centralized closed loop (serial core only: its Welford mean is
+/// order-dependent, so it has no sharded run). Every node performs
+/// `requests_per_node` rounds, re-issuing one service interval after the
+/// center's reply arrives.
+template <typename Dist, typename Faults>
+class CentralLoop {
  public:
-  CentralCore(NodeId node_count, Dist dist, Faults faults, const CentralizedConfig& config,
-              std::size_t reserve_events, std::size_t reserve_msgs)
-      : placeholder_(make_path(node_count)),
-        net_(placeholder_, sim_, SyncSampler{}, std::move(faults)),
+  using Eng = SerialNetSim<CentralMsg, SyncSampler, ReceiveHandler<CentralLoop>, Faults,
+                           DirectOnlyIndex>;
+  using Ctx = typename Eng::Ctx;
+
+  CentralLoop(NodeId node_count, std::int64_t reqs_per_node, Dist dist, Faults faults,
+              const CentralizedConfig& config)
+      : index_{node_count},
+        eng_(index_, SyncSampler{}, std::move(faults)),
         dist_(dist),
-        config_(config) {
+        config_(config),
+        requests_per_node_(reqs_per_node),
+        issued_(static_cast<std::size_t>(node_count), 0),
+        issue_time_(static_cast<std::size_t>(node_count), 0) {
     ARROWDQ_ASSERT_MSG(config.center >= 0 && config.center < node_count,
                        "center must be a node");
-    sim_.reserve(reserve_events);
-    net_.reserve_messages(reserve_msgs);
-    net_.set_service_time(config.service_time);
+    eng_.reserve(2 * static_cast<std::size_t>(node_count) + 2,
+                 static_cast<std::size_t>(node_count) + 1);
+    eng_.set_service_time(config.service_time);
+    eng_.set_handler(ReceiveHandler<CentralLoop>{this});
   }
 
-  Simulator& sim() { return sim_; }
-  Network<CentralMsg, SyncSampler, Handler, Faults>& net() { return net_; }
-  RequestId tail() const { return tail_; }
+  Eng& engine() { return eng_; }
 
-  /// Degradation counters after a run (empty under NoFaults).
-  FaultStats fault_stats() const {
-    if constexpr (Faults::kActive) return net_.faults().stats();
-    return FaultStats{};
-  }
-  std::int32_t crash_count() const {
+  CentralizedLoopResult run() {
+    const NodeId n = index_.node_count();
+    for (NodeId v = 0; v < n; ++v) eng_.post_initial(v, 0, IssueEvent{this, v});
+    eng_.run();
+    CentralizedLoopResult res;
+    res.makespan = eng_.makespan();
+    res.total_requests = static_cast<std::int64_t>(n) * requests_per_node_;
+    res.messages = eng_.stats().direct_messages;
+    res.avg_round_latency_units =
+        latencies_.count() == 0 ? 0.0 : latencies_.mean() / static_cast<double>(kTicksPerUnit);
+    const FaultStats fs = eng_.fault_stats();
+    res.messages_dropped = fs.messages_dropped;
+    res.messages_duplicated = fs.messages_duplicated;
+    res.partition_backlog = fs.partition_deferred;
     if constexpr (Faults::kActive)
-      return static_cast<std::int32_t>(net_.faults().crashes().size());
-    return 0;
+      res.crashes = static_cast<std::int32_t>(eng_.faults().crashes().size());
+    return res;
   }
 
-  /// Processes a request at the center: returns the predecessor and advances
-  /// the tail.
+  void issue(NodeId v) {
+    Ctx ctx = eng_.ctx_of(v);
+    auto vi = static_cast<std::size_t>(v);
+    if (issued_[vi] >= requests_per_node_) return;
+    ++issued_[vi];
+    issue_time_[vi] = ctx.now();
+    RequestId a = ++next_id_;
+    const NodeId center = config_.center;
+    if (v == center) {
+      enqueue(a);
+      latencies_.add(0.0);
+      ctx.in(config_.service_time, IssueEvent{this, v});
+      return;
+    }
+    ctx.send_with_latency(v, center, dist(v, center),
+                          CentralMsg{CentralKind::kRequest, a, kNoRequest, v});
+  }
+
+  void receive(Ctx& ctx, NodeId /*from*/, NodeId at, const CentralMsg& m) {
+    const NodeId center = config_.center;
+    if (m.kind == CentralKind::kRequest) {
+      RequestId pred = enqueue(m.req);
+      ctx.send_with_latency(center, m.requester, dist(center, m.requester),
+                            CentralMsg{CentralKind::kReply, m.req, pred, m.requester});
+    } else {
+      auto vi = static_cast<std::size_t>(at);
+      latencies_.add(static_cast<double>(ctx.now() - issue_time_[vi]));
+      ctx.in(config_.service_time, IssueEvent{this, at});
+    }
+  }
+
+ private:
+  struct IssueEvent {
+    CentralLoop* d;
+    NodeId v;
+    void operator()() const { d->issue(v); }
+  };
+  static_assert(Simulator::template fits_inline_v<IssueEvent>,
+                "IssueEvent must stay on the simulator's inline path");
+
   RequestId enqueue(RequestId req) {
     RequestId pred = tail_;
     tail_ = req;
@@ -74,211 +115,27 @@ class CentralCore {
   }
 
   Time dist(NodeId u, NodeId v) const { return u == v ? Time{0} : dist_(u, v); }
-  const CentralizedConfig& config() const { return config_; }
 
- private:
-  Graph placeholder_;
-  Simulator sim_;
-  Network<CentralMsg, SyncSampler, Handler, Faults> net_;
+  DirectOnlyIndex index_;
+  Eng eng_;
   Dist dist_;
-  CentralizedConfig config_;
+  const CentralizedConfig& config_;
+  std::int64_t requests_per_node_;
+  std::vector<std::int64_t> issued_;
+  std::vector<Time> issue_time_;
+  StatAccumulator latencies_;
+  RequestId next_id_ = kRootRequest;
   RequestId tail_ = kRootRequest;
 };
-
-// --- one-shot ---------------------------------------------------------------
-
-template <typename Dist, typename Faults>
-struct OneShot;
-
-template <typename Dist, typename Faults>
-struct OneShotHandler {
-  OneShot<Dist, Faults>* d = nullptr;
-  inline void operator()(NodeId from, NodeId at, const CentralMsg& m) const;
-};
-
-template <typename Dist, typename Faults>
-struct OneShot {
-  CentralCore<Dist, OneShotHandler<Dist, Faults>, Faults> core;
-  QueuingOutcome& out;
-  std::vector<Weight> travel;
-
-  OneShot(NodeId node_count, const RequestSet& requests, Dist dist, Faults faults,
-          const CentralizedConfig& config, QueuingOutcome& out_ref)
-      : core(node_count, dist, std::move(faults), config,
-             /*reserve_events=*/2 * static_cast<std::size_t>(requests.size()) + 2,
-             /*reserve_msgs=*/static_cast<std::size_t>(requests.size()) + 1),
-        out(out_ref),
-        travel(static_cast<std::size_t>(requests.size()) + 1, 0) {}
-
-  struct IssueEvent {
-    OneShot* d;
-    Request r;
-    void operator()() const { d->issue(r); }
-  };
-  static_assert(Simulator::template fits_inline_v<IssueEvent>,
-                "IssueEvent must stay on the simulator's inline path");
-
-  void issue(const Request& r) {
-    const NodeId center = core.config().center;
-    if (r.node == center) {
-      RequestId pred = core.enqueue(r.id);
-      out.record(Completion{r.id, pred, core.sim().now(), 0, 0});
-      return;
-    }
-    Time d = core.dist(r.node, center);
-    core.net().send_with_latency(r.node, center, d,
-                                 CentralMsg{Kind::kRequest, r.id, kNoRequest, r.node});
-  }
-
-  void handle(NodeId /*from*/, NodeId at, const CentralMsg& m) {
-    const NodeId center = core.config().center;
-    if (m.kind == Kind::kRequest) {
-      ARROWDQ_ASSERT(at == center);
-      RequestId pred = core.enqueue(m.req);
-      if (m.requester == center) {
-        out.record(Completion{m.req, pred, core.sim().now(),
-                              /*hops=*/1,
-                              static_cast<Weight>(travel[static_cast<std::size_t>(m.req)])});
-      } else {
-        core.net().send_with_latency(center, m.requester, core.dist(center, m.requester),
-                                     CentralMsg{Kind::kReply, m.req, pred, m.requester});
-      }
-    } else {
-      out.record(Completion{m.req, m.pred, core.sim().now(),
-                            /*hops=*/2,
-                            static_cast<Weight>(2 * travel[static_cast<std::size_t>(m.req)])});
-    }
-  }
-};
-
-template <typename Dist, typename Faults>
-inline void OneShotHandler<Dist, Faults>::operator()(NodeId from, NodeId at,
-                                                     const CentralMsg& m) const {
-  d->handle(from, at, m);
-}
-
-// --- closed loop ------------------------------------------------------------
-
-template <typename Dist, typename Faults>
-struct Loop;
-
-template <typename Dist, typename Faults>
-struct LoopHandler {
-  Loop<Dist, Faults>* d = nullptr;
-  inline void operator()(NodeId from, NodeId at, const CentralMsg& m) const;
-};
-
-template <typename Dist, typename Faults>
-struct Loop {
-  CentralCore<Dist, LoopHandler<Dist, Faults>, Faults> core;
-  std::int64_t requests_per_node;
-  std::vector<std::int64_t> issued;
-  std::vector<Time> issue_time;
-  StatAccumulator latencies;
-  RequestId next_id = kRootRequest;
-
-  Loop(NodeId node_count, std::int64_t reqs_per_node, Dist dist, Faults faults,
-       const CentralizedConfig& config)
-      : core(node_count, dist, std::move(faults), config,
-             /*reserve_events=*/2 * static_cast<std::size_t>(node_count) + 2,
-             /*reserve_msgs=*/static_cast<std::size_t>(node_count) + 1),
-        requests_per_node(reqs_per_node),
-        issued(static_cast<std::size_t>(node_count), 0),
-        issue_time(static_cast<std::size_t>(node_count), 0) {}
-
-  struct IssueEvent {
-    Loop* d;
-    NodeId v;
-    void operator()() const { d->issue(v); }
-  };
-  static_assert(Simulator::template fits_inline_v<IssueEvent>,
-                "IssueEvent must stay on the simulator's inline path");
-
-  void issue(NodeId v) {
-    auto vi = static_cast<std::size_t>(v);
-    if (issued[vi] >= requests_per_node) return;
-    ++issued[vi];
-    issue_time[vi] = core.sim().now();
-    RequestId a = ++next_id;
-    const NodeId center = core.config().center;
-    if (v == center) {
-      core.enqueue(a);
-      latencies.add(0.0);
-      core.sim().in(core.config().service_time, IssueEvent{this, v});
-      return;
-    }
-    core.net().send_with_latency(v, center, core.dist(v, center),
-                                 CentralMsg{Kind::kRequest, a, kNoRequest, v});
-  }
-
-  void handle(NodeId /*from*/, NodeId at, const CentralMsg& m) {
-    const NodeId center = core.config().center;
-    if (m.kind == Kind::kRequest) {
-      RequestId pred = core.enqueue(m.req);
-      core.net().send_with_latency(center, m.requester, core.dist(center, m.requester),
-                                   CentralMsg{Kind::kReply, m.req, pred, m.requester});
-    } else {
-      auto vi = static_cast<std::size_t>(at);
-      latencies.add(static_cast<double>(core.sim().now() - issue_time[vi]));
-      core.sim().in(core.config().service_time, IssueEvent{this, at});
-    }
-  }
-};
-
-template <typename Dist, typename Faults>
-inline void LoopHandler<Dist, Faults>::operator()(NodeId from, NodeId at,
-                                                  const CentralMsg& m) const {
-  d->handle(from, at, m);
-}
-
-template <typename Dist>
-QueuingOutcome run_centralized_impl(NodeId node_count, const RequestSet& requests, Dist dist,
-                                    const CentralizedConfig& config) {
-  QueuingOutcome out(requests.size());
-  with_fault_filter(config.fault, node_count, [&](auto filt) {
-    using F = decltype(filt);
-    OneShot<Dist, F> driver(node_count, requests, dist, std::move(filt), config, out);
-    driver.core.net().set_handler(OneShotHandler<Dist, F>{&driver});
-    const NodeId center = config.center;
-    for (const Request& r : requests.real()) {
-      ARROWDQ_ASSERT_MSG(r.node >= 0 && r.node < node_count, "request from a non-node");
-      driver.core.sim().at(r.time, typename OneShot<Dist, F>::IssueEvent{&driver, r});
-      driver.travel[static_cast<std::size_t>(r.id)] =
-          ticks_to_units(driver.core.dist(r.node, center));
-    }
-    driver.core.sim().run();
-    if (config.fault_stats_out != nullptr) *config.fault_stats_out = driver.core.fault_stats();
-  });
-  ARROWDQ_ASSERT_MSG(out.is_complete(), "centralized protocol did not complete all requests");
-  return out;
-}
 
 template <typename Dist>
 CentralizedLoopResult run_centralized_closed_loop_impl(NodeId node_count,
                                                        std::int64_t requests_per_node, Dist dist,
                                                        const CentralizedConfig& config) {
   return with_fault_filter(config.fault, node_count, [&](auto filt) {
-    using F = decltype(filt);
-    Loop<Dist, F> driver(node_count, requests_per_node, dist, std::move(filt), config);
-    driver.core.net().set_handler(LoopHandler<Dist, F>{&driver});
-    for (NodeId v = 0; v < node_count; ++v)
-      driver.core.sim().at(0, typename Loop<Dist, F>::IssueEvent{&driver, v});
-    driver.core.sim().run();
-
-    CentralizedLoopResult res;
-    res.makespan = driver.core.sim().now();
-    res.total_requests = static_cast<std::int64_t>(node_count) * requests_per_node;
-    res.messages = driver.core.net().stats().direct_messages;
-    res.avg_round_latency_units =
-        driver.latencies.count() == 0
-            ? 0.0
-            : driver.latencies.mean() / static_cast<double>(kTicksPerUnit);
-    FaultStats fs = driver.core.fault_stats();
-    res.messages_dropped = fs.messages_dropped;
-    res.messages_duplicated = fs.messages_duplicated;
-    res.crashes = driver.core.crash_count();
-    res.partition_backlog = fs.partition_deferred;
-    return res;
+    CentralLoop<Dist, decltype(filt)> driver(node_count, requests_per_node, dist,
+                                             std::move(filt), config);
+    return driver.run();
   });
 }
 
@@ -287,13 +144,13 @@ CentralizedLoopResult run_centralized_closed_loop_impl(NodeId node_count,
 template <typename Dist>
 QueuingOutcome run_centralized(NodeId node_count, const RequestSet& requests, Dist dist,
                                const CentralizedConfig& config) {
-  return run_centralized_impl(node_count, requests, dist, config);
+  return detail::run_centralized_one_shot(node_count, requests, dist, config, OnSerial{});
 }
 
 QueuingOutcome run_centralized(NodeId node_count, const RequestSet& requests,
                                const DistTicksFn& dist, const CentralizedConfig& config) {
   return with_static_dist(dist, [&](auto oracle) {
-    return run_centralized_impl(node_count, requests, oracle, config);
+    return detail::run_centralized_one_shot(node_count, requests, oracle, config, OnSerial{});
   });
 }
 

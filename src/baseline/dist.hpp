@@ -117,6 +117,16 @@ struct HypercubeDist {
   const char* name() const { return "hypercube"; }
 };
 
+/// Lower bound on an oracle's latency between distinct nodes, which the
+/// sharded engine folds into its lookahead: every closed-form or table
+/// oracle maps distinct nodes to >= 1 unit, while an arbitrary closure only
+/// guarantees the engine-wide 1-tick minimum.
+template <typename Dist>
+Time dist_floor(const Dist&) {
+  return kTicksPerUnit;
+}
+inline Time dist_floor(const FnDist&) { return 1; }
+
 /// dG-based oracle from an AllPairs table (must outlive the returned fn).
 DistTicksFn apsp_dist_fn(const AllPairs& apsp);
 

@@ -402,11 +402,11 @@ int env_shards() {
   return cached;
 }
 
-/// Whether a sharded mirror exists for this scenario. Token passing replays
-/// an analytic total order (inherently serial), the centralized closed loop
-/// has no mirror, and topology-fault schedules (crash, partition, churn)
-/// cannot run inside safe windows — their recovery waves are global pointer
-/// rewrites.
+/// Whether this scenario can run on the sharded engine. Token passing
+/// replays an analytic total order (inherently serial), the centralized
+/// closed loop keeps an order-dependent Welford mean and stays serial, and
+/// topology-fault schedules (crash, partition, churn) cannot run inside safe
+/// windows — their recovery waves are global pointer rewrites.
 bool shardable(const Experiment& e) {
   if (e.fault.has_topology_faults()) return false;
   switch (e.protocol.kind) {
@@ -446,8 +446,9 @@ RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, const Resol
   auto model = e.latency.make();
   const int shards = effective_shards(e);
   if (shards > 1) {
-    // Sharded mirror (crash schedules were refused up front, so the outcome
-    // keeps a total order and validates like the fault-free serial path).
+    // Sharded run of the same driver (topology faults were refused up front,
+    // so the outcome keeps a total order and validates like the fault-free
+    // serial path).
     ShardSpec spec;
     spec.shards = shards;
     ShardedArrowRun run = run_arrow_one_shot_sharded(r.tree, r.requests, *model,
@@ -799,12 +800,12 @@ std::optional<std::string> validate_experiment(const Experiment& e) {
   if (e.shards > 1) {
     if (e.protocol.kind == Protocol::kTokenPassing)
       return std::string(e.protocol.name()) +
-             ": shards > 1 has no mirror (the token replays an analytic total order, "
+             ": shards > 1 cannot apply (the token replays an analytic total order, "
              "which is inherently serial)";
     if (e.protocol.kind == Protocol::kCentralized && e.rounds > 0)
       return std::string(
           "centralized closed loop: shards > 1 supports the one-shot mode only "
-          "(no sharded mirror for the find-completion reply loop)");
+          "(the closed loop's Welford mean is order-dependent, so it runs serially)");
     if (e.fault.has_crash())
       return std::string(
           "shards > 1 cannot run a crash schedule (the recovery wave is a global "

@@ -20,11 +20,19 @@
 //  * the ring serves slots in reservation order, so one producer's pushes
 //    come out in push order;
 //  * once a producer diverts to overflow (ring full, or overflow already
-//    non-empty), every later push also diverts until the consumer has
-//    drained the overflow batch — so a producer never has messages in the
-//    ring *behind* its own overflow messages;
-//  * the consumer takes the overflow batch only when the ring is empty and
-//    finishes the batch before touching the ring again.
+//    non-empty), every later push also diverts until the consumer takes the
+//    overflow batch — so a producer's later messages never reach the ring
+//    while its earlier ones wait in the overflow;
+//  * a producer's *earlier* messages can still sit in the ring when the
+//    batch is taken, in slots it reserved before diverting, possibly not yet
+//    published (an unpublished slot at the ring's tail also makes the ring
+//    look empty while later slots are full). So the consumer snapshots the
+//    ring's reservation counter when it takes the batch, under the overflow
+//    lock, and serves every ring position below the snapshot before the
+//    batch. A reservation made before a producer's overflow push precedes
+//    that push's critical section, hence lies below the snapshot; a
+//    reservation after the batch was taken lies at or above it (the
+//    producer first had to see the cleared overflow flag).
 //
 // Capacity. The ring bounds steady-state memory; the overflow bounds
 // worst-case correctness (a node can transiently receive O(outstanding
@@ -103,6 +111,10 @@ class RingMailbox {
   bool maybe_nonempty() const {
     return head_.load(std::memory_order_acquire) != tail_;
   }
+
+  /// Positions reserved by producers so far, and served by the consumer.
+  std::size_t reserved() const { return head_.load(std::memory_order_acquire); }
+  std::size_t served() const { return tail_; }
 
  private:
   struct Slot {
@@ -189,22 +201,20 @@ class Mailbox {
   }
 
   bool try_pop(T& out) {
-    // Oldest first: the pending overflow batch predates anything a producer
-    // has pushed into the ring since the batch was taken.
-    if (batch_next_ < batch_.size()) {
-      out = std::move(batch_[batch_next_++]);
-      return true;
-    }
-    if (ring_.try_pop(out)) return true;
-    if (!overflow_nonempty_.load(std::memory_order_acquire)) return false;
-    batch_.clear();
-    batch_next_ = 0;
-    {
+    if (batch_next_ == batch_.size()) {
+      if (ring_.try_pop(out)) return true;
+      if (!overflow_nonempty_.load(std::memory_order_acquire)) return false;
+      batch_.clear();
+      batch_next_ = 0;
       std::lock_guard<std::mutex> lock(overflow_mu_);
       batch_.swap(overflow_);
+      batch_ring_end_ = ring_.reserved();
       overflow_nonempty_.store(false, std::memory_order_release);
     }
-    if (batch_.empty()) return false;
+    // Ring slots reserved before the batch was taken come first (see the
+    // FIFO argument above); false while one is still being published.
+    if (ring_.served() < batch_ring_end_) return ring_.try_pop(out);
+    if (batch_next_ == batch_.size()) return false;
     out = std::move(batch_[batch_next_++]);
     return true;
   }
@@ -220,6 +230,7 @@ class Mailbox {
   std::vector<T> overflow_;     // guarded by overflow_mu_
   std::vector<T> batch_;        // consumer-private
   std::size_t batch_next_ = 0;  // consumer-private
+  std::size_t batch_ring_end_ = 0;  // ring positions to serve before the batch
   std::atomic<bool> overflow_nonempty_{false};
 #endif
 };

@@ -54,6 +54,19 @@
 
 namespace arrowdq {
 
+/// Index for drivers that never send over graph edges: the centralized and
+/// pointer-forwarding baselines only make explicit-latency direct sends
+/// against a distance oracle, so the network needs just the node count.
+struct DirectOnlyIndex {
+  NodeId n = 0;
+  NodeId node_count() const { return n; }
+  std::size_t dir_edge_count() const { return 0; }
+  DirEdgeRef find_edge(NodeId, NodeId) const {
+    ARROWDQ_ASSERT_MSG(false, "direct-only driver sent over a graph edge");
+    return DirEdgeRef{};
+  }
+};
+
 struct NetworkStats {
   std::uint64_t edge_messages = 0;    // messages sent over graph edges
   std::uint64_t direct_messages = 0;  // messages sent via send_with_latency

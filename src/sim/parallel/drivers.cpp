@@ -1,804 +1,29 @@
-// Sharded mirrors of the serial drivers. Each mirror repeats its serial
-// counterpart's schedule-call sequence statement for statement (issue /
-// receive / round_done bodies are transcriptions of closed_loop.cpp,
-// arrow.cpp, centralized.cpp and pointer_forwarding.cpp), swapping
-// Simulator/Network calls for the lane context's logged equivalents, so the
-// ShardedNetSim merge reproduces the serial (time, seq) execution exactly —
-// see sharded_sim.hpp for the argument.
-//
-// Three serial constructs cannot run as-is under lane concurrency and are
-// replaced by observably identical ones:
-//
-//  * Request-id allocation: the serial loops draw ids from one shared
-//    counter (`++next_id_`). Ids never reach any observable — they feed
-//    asserts (!= kNoRequest) and ride in messages whose handlers ignore the
-//    value — so each lane allocates from its own stride (1 + lane + K*i),
-//    which is trivially data-race-free and always >= 1.
-//  * Completion recording: QueuingOutcome::record() mutates shared state, so
-//    one-shot mirrors buffer completions per lane and record after the run.
-//    record() order is immaterial: the outcome is keyed by request id and
-//    the successor chain, and both are unique per record (record() asserts
-//    so), hence any flush order rebuilds the identical outcome.
-//  * Latency averages: the serial drivers' exact integer latency sums (one
-//    __int128 per driver) become one sum per lane, added together at the
-//    end — integer addition is order-free, so the resulting double equals
-//    the serial division bit for bit.
+// Sharded-engine entry points: the serial drivers themselves (arrow/
+// loop_driver.hpp, arrow/one_shot_driver.hpp, baseline/centralized_driver.hpp,
+// baseline/forwarding_driver.hpp) instantiated on OnShards. Each protocol is
+// written once; sim/engine.hpp describes the two engines, and OnShards::make
+// is the one place every sharded run starts (it refuses topology faults and
+// derives the lookahead).
 #include "sim/parallel/parallel.hpp"
 
 #include <cstdint>
 #include <limits>
-#include <utility>
-#include <vector>
 
-#include "arrow/arrow.hpp"
-#include "sim/network.hpp"
-#include "sim/parallel/lookahead.hpp"
+#include "arrow/loop_driver.hpp"
+#include "arrow/one_shot_driver.hpp"
+#include "baseline/centralized_driver.hpp"
+#include "baseline/forwarding_driver.hpp"
 #include "sim/parallel/sharded_sim.hpp"
 #include "support/assert.hpp"
 
 namespace arrowdq {
 
-namespace {
-
-/// Generic handler shim: lets a mirror name its engine type before the
-/// mirror class itself is complete.
-template <typename D>
-struct MirrorHandler {
-  D* d = nullptr;
-  template <typename Ctx, typename Msg>
-  void operator()(Ctx& ctx, NodeId from, NodeId to, const Msg& m) const {
-    d->receive(ctx, from, to, m);
-  }
-};
-
-/// Per-lane accumulator state, cache-line separated: exact latency sums,
-/// message counters, and the lane's request-id stride counter.
-struct alignas(64) LaneAccum {
-  __int128 lat_sum = 0;
-  std::int64_t lat_count = 0;
-  std::int64_t next_ctr = 0;
-  std::uint64_t find_messages = 0;
-  std::uint64_t reply_messages = 0;
-};
-
-/// Lane-strided request-id allocation (see header comment). K and lane are
-/// both small; ids stay well inside RequestId range for any feasible run.
-inline RequestId lane_request_id(int lane, int lane_count, LaneAccum& acc) {
-  return static_cast<RequestId>(1 + lane +
-                                static_cast<std::int64_t>(lane_count) * acc.next_ctr++);
-}
-
-/// Direct-send latency floor per distance oracle: every closed-form oracle
-/// maps distinct nodes to >= 1 unit; an arbitrary FnDist only guarantees the
-/// engine-wide 1-tick minimum. (The engine asserts every finalized delivery
-/// clears its window, so an optimistic floor fails loudly.)
-inline Time dist_floor(const UnitDist&) { return kTicksPerUnit; }
-inline Time dist_floor(const ApspDist&) { return kTicksPerUnit; }
-inline Time dist_floor(const PathDist&) { return kTicksPerUnit; }
-inline Time dist_floor(const RingDist&) { return kTicksPerUnit; }
-inline Time dist_floor(const GridDist&) { return kTicksPerUnit; }
-inline Time dist_floor(const TorusDist&) { return kTicksPerUnit; }
-inline Time dist_floor(const HypercubeDist&) { return kTicksPerUnit; }
-inline Time dist_floor(const FnDist&) { return 1; }
-
-// --- arrow closed loop ------------------------------------------------------
-
-enum class SLoopKind : std::uint8_t { kQueue, kNotify };
-
-/// Same layout as closed_loop.cpp's LoopMsg (epoch always 0: crash schedules
-/// are rejected before a sharded run starts).
-struct SLoopMsg {
-  SLoopKind kind = SLoopKind::kQueue;
-  RequestId req = kNoRequest;
-  NodeId requester = kNoNode;
-  std::int32_t hops = 0;
-  std::int32_t epoch = 0;
-};
-
-/// Topology policies mirroring closed_loop.cpp's MaterializedTopo /
-/// ImplicitLoopTopo, plus what the sharded tier needs: the latency floor of
-/// the edge index and a pre-run warm-up (Graph's edge index is built lazily
-/// and is not thread-safe to build, so it must exist before lanes run).
-struct SMatLoopTopo {
-  const Tree* tree = nullptr;
-  using Index = Graph;
-  NodeId node_count() const { return tree->node_count(); }
-  NodeId root() const { return tree->root(); }
-  NodeId parent(NodeId v) const { return tree->parent(v); }
-  Index make_index() const { return tree->as_graph(); }
-  static Weight min_weight(const Index& g) { return min_edge_weight(g); }
-  static void warm(const Index& g) {
-    if (g.node_count() >= 2) (void)g.find_edge(0, 1);
-  }
-  std::size_t reserve_hint() const { return 4 * static_cast<std::size_t>(tree->node_count()); }
-};
-
-struct SImplLoopTopo {
-  ImplicitTopology topo;
-  using Index = ImplicitTreeIndex;
-  NodeId node_count() const { return topo.n; }
-  NodeId root() const { return topo.root; }
-  NodeId parent(NodeId v) const { return topo.tree_parent(v); }
-  Index make_index() const { return ImplicitTreeIndex{topo}; }
-  static Weight min_weight(const Index&) { return 1; }
-  static void warm(const Index&) {}
-  std::size_t reserve_hint() const {
-    const auto n = static_cast<std::size_t>(topo.n);
-    return n + n / 4 + 64;
-  }
-};
-
-/// Sharded mirror of closed_loop.cpp's Driver (fault-free and message-fault
-/// paths; crash recovery is rejected upstream).
-template <typename Latency, typename Faults, typename Topo>
-class SLoopMirror {
- public:
-  using Eng = ShardedNetSim<SLoopMsg, Latency, MirrorHandler<SLoopMirror>, Faults,
-                            typename Topo::Index>;
-  using Ctx = typename Eng::LaneCtx;
-
-  SLoopMirror(Topo topo, Latency latency, Faults faults, const ClosedLoopConfig& config,
-              const ShardSpec& shard)
-      : topo_(std::move(topo)),
-        config_(config),
-        index_(topo_.make_index()),
-        lookahead_(shard.force_lookahead > 0
-                       ? shard.force_lookahead
-                       : combined_lookahead(
-                             sampler_floor(latency, Topo::min_weight(index_)),
-                             config.notify_latency ? Time{1} : kTicksPerUnit,
-                             config.fault)),
-        eng_(index_, std::move(latency), std::move(faults),
-             shard.partition(topo_.node_count()), lookahead_),
-        link_(static_cast<std::size_t>(topo_.node_count())),
-        last_req_(static_cast<std::size_t>(topo_.node_count()), kNoRequest),
-        issued_(static_cast<std::size_t>(topo_.node_count()), 0),
-        issue_time_(static_cast<std::size_t>(topo_.node_count()), 0),
-        accum_(static_cast<std::size_t>(eng_.lane_count())) {
-    eng_.reserve(topo_.reserve_hint());
-    eng_.set_service_time(config.service_time);
-    eng_.set_handler(MirrorHandler<SLoopMirror>{this});
-    NodeId root = topo_.root();
-    for (NodeId v = 0; v < topo_.node_count(); ++v)
-      link_[static_cast<std::size_t>(v)] = v == root ? v : topo_.parent(v);
-    last_req_[static_cast<std::size_t>(root)] = kRootRequest;
-    Topo::warm(index_);
-  }
-
-  ClosedLoopResult run(ParallelStats* par_out) {
-    for (NodeId v = 0; v < topo_.node_count(); ++v)
-      eng_.post_initial(v, 0, IssueEvent{this, v});
-    eng_.run();
-    ClosedLoopResult res;
-    res.makespan = eng_.makespan();
-    res.total_requests =
-        static_cast<std::int64_t>(topo_.node_count()) * config_.requests_per_node;
-    res.tree_messages = eng_.stats().edge_messages;
-    res.notify_messages = eng_.stats().direct_messages;
-    res.avg_hops_per_request =
-        res.total_requests == 0
-            ? 0.0
-            : static_cast<double>(res.tree_messages) / static_cast<double>(res.total_requests);
-    __int128 lat_sum = 0;
-    std::int64_t lat_count = 0;
-    for (const LaneAccum& a : accum_) {
-      lat_sum += a.lat_sum;
-      lat_count += a.lat_count;
-    }
-    res.avg_round_latency_units =
-        lat_count == 0 ? 0.0
-                       : static_cast<double>(lat_sum) / static_cast<double>(lat_count) /
-                             static_cast<double>(kTicksPerUnit);
-    if constexpr (Faults::kActive) {
-      res.messages_dropped = eng_.faults().stats().messages_dropped;
-      res.messages_duplicated = eng_.faults().stats().messages_duplicated;
-    }
-    if (par_out != nullptr) *par_out = eng_.parallel_stats();
-    return res;
-  }
-
-  void receive(Ctx& ctx, NodeId from, NodeId at, const SLoopMsg& m) {
-    if (m.kind == SLoopKind::kNotify) {
-      round_done(ctx, at);
-      return;
-    }
-    auto ui = static_cast<std::size_t>(at);
-    NodeId next = link_[ui];
-    link_[ui] = from;
-    if (next != at) {
-      ctx.send(at, next, SLoopMsg{SLoopKind::kQueue, m.req, m.requester, m.hops + 1, 0});
-      return;
-    }
-    ARROWDQ_ASSERT(last_req_[ui] != kNoRequest);
-    if (m.requester == at) {
-      round_done(ctx, at);
-    } else {
-      ctx.send_with_latency(at, m.requester, notify_latency(at, m.requester),
-                            SLoopMsg{SLoopKind::kNotify, m.req, m.requester, 0, 0});
-    }
-  }
-
-  void issue(NodeId v) {
-    Ctx ctx = eng_.ctx_of(v);
-    auto vi = static_cast<std::size_t>(v);
-    if (issued_[vi] >= config_.requests_per_node) return;
-    if constexpr (Faults::kActive) {
-      // Unreachable without crash windows (rejected upstream), kept as the
-      // exact serial statement order.
-      Time up = eng_.faults().defer(v, ctx.now());
-      if (up != ctx.now()) {
-        ctx.at(up, IssueEvent{this, v});
-        return;
-      }
-    }
-    ++issued_[vi];
-    RequestId a = lane_request_id(ctx.lane(), eng_.lane_count(),
-                                  accum_[static_cast<std::size_t>(ctx.lane())]);
-    issue_time_[vi] = ctx.now();
-    if (link_[vi] == v) {
-      ARROWDQ_ASSERT(last_req_[vi] != kNoRequest);
-      last_req_[vi] = a;
-      round_done(ctx, v);
-      return;
-    }
-    NodeId target = link_[vi];
-    last_req_[vi] = a;
-    link_[vi] = v;
-    ctx.send(v, target, SLoopMsg{SLoopKind::kQueue, a, v, 1, 0});
-  }
-
- private:
-  struct IssueEvent {
-    SLoopMirror* d;
-    NodeId v;
-    void operator()() const { d->issue(v); }
-  };
-
-  Time notify_latency(NodeId from, NodeId to) const {
-    if (config_.notify_latency) return config_.notify_latency(from, to);
-    return kTicksPerUnit;
-  }
-
-  void round_done(Ctx& ctx, NodeId v) {
-    LaneAccum& acc = accum_[static_cast<std::size_t>(ctx.lane())];
-    acc.lat_sum += ctx.now() - issue_time_[static_cast<std::size_t>(v)];
-    ++acc.lat_count;
-    ctx.in(config_.service_time, IssueEvent{this, v});
-  }
-
-  Topo topo_;
-  const ClosedLoopConfig& config_;
-  typename Topo::Index index_;
-  Time lookahead_;
-  Eng eng_;
-  std::vector<NodeId> link_;          // element-owned by the node's lane
-  std::vector<RequestId> last_req_;   // element-owned by the node's lane
-  std::vector<std::int64_t> issued_;  // element-owned by the node's lane
-  std::vector<Time> issue_time_;      // element-owned by the node's lane
-  std::vector<LaneAccum> accum_;
-};
-
-template <typename Topo>
-ClosedLoopResult run_loop_sharded(Topo topo, LatencyModel& latency,
-                                  const ClosedLoopConfig& config, const ShardSpec& shard,
-                                  ParallelStats* par_out) {
-  ARROWDQ_ASSERT_MSG(config.requests_per_node >= 0, "requests_per_node must be >= 0");
-  ARROWDQ_ASSERT_MSG(!config.fault.has_crash(),
-                     "sharded runs do not support crash schedules");
-  return with_static_latency(latency, [&](auto lat) {
-    return with_fault_filter(config.fault, topo.node_count(), [&](auto filt) {
-      using L = decltype(lat);
-      using F = decltype(filt);
-      SLoopMirror<L, F, Topo> mirror(std::move(topo), std::move(lat), std::move(filt),
-                                     config, shard);
-      return mirror.run(par_out);
-    });
-  });
-}
-
-// --- arrow one-shot ---------------------------------------------------------
-
-/// Sharded mirror of arrow.cpp's OneShotDriver (fault-free and message-fault
-/// paths).
-template <typename Latency, typename Faults>
-class SArrowMirror {
- public:
-  using Eng = ShardedNetSim<ArrowMsg, Latency, MirrorHandler<SArrowMirror>, Faults, Graph>;
-  using Ctx = typename Eng::LaneCtx;
-
-  SArrowMirror(const Tree& rooted, const Graph& graph, Latency latency, Faults faults,
-               Time service_time, const RequestSet& requests, const FaultSpec& fault,
-               QueuingOutcome& out, const ShardSpec& shard)
-      : graph_(graph),
-        lookahead_(shard.force_lookahead > 0
-                       ? shard.force_lookahead
-                       : fault_adjusted_floor(sampler_floor(latency, min_edge_weight(graph)),
-                                              fault)),
-        eng_(graph, std::move(latency), std::move(faults),
-             shard.partition(graph.node_count()), lookahead_),
-        out_(out),
-        link_(static_cast<std::size_t>(graph.node_count()), kNoNode),
-        last_req_(static_cast<std::size_t>(graph.node_count()), kNoRequest),
-        done_(static_cast<std::size_t>(eng_.lane_count())) {
-    const auto n = static_cast<std::size_t>(graph.node_count());
-    eng_.reserve(static_cast<std::size_t>(requests.size()) + 2 * n);
-    eng_.set_service_time(service_time);
-    eng_.set_handler(MirrorHandler<SArrowMirror>{this});
-    for (NodeId v = 0; v < graph.node_count(); ++v)
-      link_[static_cast<std::size_t>(v)] = v == requests.root() ? v : rooted.parent(v);
-    last_req_[static_cast<std::size_t>(requests.root())] = kRootRequest;
-    if (graph.node_count() >= 2) (void)graph.find_edge(0, 1);  // warm the lazy index
-  }
-
-  ShardedArrowRun finish(const RequestSet& requests) {
-    for (const Request& r : requests.real()) eng_.post_initial(r.node, r.time, IssueEvent{this, r});
-    eng_.run();
-    for (const std::vector<Completion>& lane : done_)
-      for (const Completion& c : lane) out_.record(c);
-    ARROWDQ_ASSERT_MSG(out_.is_complete(), "arrow did not complete all requests");
-    NodeId sink = kNoNode;
-    for (NodeId v = 0; v < static_cast<NodeId>(link_.size()); ++v) {
-      if (link_[static_cast<std::size_t>(v)] == v) {
-        ARROWDQ_ASSERT_MSG(sink == kNoNode, "multiple sinks at quiescence");
-        sink = v;
-      }
-    }
-    ARROWDQ_ASSERT_MSG(sink != kNoNode, "no sink at quiescence");
-    FaultStats fs;
-    if constexpr (Faults::kActive) fs = eng_.faults().stats();
-    return ShardedArrowRun{std::move(out_),           std::move(link_), sink,
-                           eng_.stats().edge_messages, eng_.makespan(), fs};
-  }
-
-  void issue(const Request& r) {
-    Ctx ctx = eng_.ctx_of(r.node);
-    if constexpr (Faults::kActive) {
-      Time up = eng_.faults().defer(r.node, ctx.now());
-      if (up != ctx.now()) {
-        ctx.at(up, IssueEvent{this, r});
-        return;
-      }
-    }
-    NodeId v = r.node;
-    auto vi = static_cast<std::size_t>(v);
-    if (link_[vi] == v) {
-      RequestId pred = last_req_[vi];
-      ARROWDQ_ASSERT(pred != kNoRequest);
-      last_req_[vi] = r.id;
-      done_[static_cast<std::size_t>(ctx.lane())].push_back(
-          Completion{r.id, pred, ctx.now(), 0, 0});
-      return;
-    }
-    NodeId target = link_[vi];
-    last_req_[vi] = r.id;
-    link_[vi] = v;
-    ctx.send(v, target, ArrowMsg{r.id, 1, graph_.edge_weight(v, target), 0});
-  }
-
-  void receive(Ctx& ctx, NodeId from, NodeId at, const ArrowMsg& msg) {
-    auto ui = static_cast<std::size_t>(at);
-    NodeId next = link_[ui];
-    link_[ui] = from;  // path reversal
-    if (next != at) {
-      ctx.send(at, next,
-               ArrowMsg{msg.req, msg.hops + 1, msg.dist + graph_.edge_weight(at, next), 0});
-      return;
-    }
-    RequestId pred = last_req_[ui];
-    ARROWDQ_ASSERT_MSG(pred != kNoRequest, "sink without an id — broken initial state");
-    done_[static_cast<std::size_t>(ctx.lane())].push_back(
-        Completion{msg.req, pred, ctx.now(), msg.hops, msg.dist});
-  }
-
- private:
-  struct IssueEvent {
-    SArrowMirror* d;
-    Request r;
-    void operator()() const { d->issue(r); }
-  };
-
-  const Graph& graph_;
-  Time lookahead_;
-  Eng eng_;
-  QueuingOutcome& out_;
-  std::vector<NodeId> link_;
-  std::vector<RequestId> last_req_;
-  std::vector<std::vector<Completion>> done_;  // per-lane completion buffers
-};
-
-// --- direct-send baselines --------------------------------------------------
-
-enum class SCentralKind : std::uint8_t { kRequest, kReply };
-
-struct SCentralMsg {
-  SCentralKind kind = SCentralKind::kRequest;
-  RequestId req = kNoRequest;
-  RequestId pred = kNoRequest;
-  NodeId requester = kNoNode;
-};
-
-/// Sharded mirror of centralized.cpp's OneShot driver.
-template <typename Dist, typename Faults>
-class SCentralMirror {
- public:
-  using Eng =
-      ShardedNetSim<SCentralMsg, SyncSampler, MirrorHandler<SCentralMirror>, Faults,
-                    DirectOnlyIndex>;
-  using Ctx = typename Eng::LaneCtx;
-
-  SCentralMirror(NodeId node_count, const RequestSet& requests, Dist dist, Faults faults,
-                 const CentralizedConfig& config, QueuingOutcome& out, const ShardSpec& shard)
-      : index_{node_count},
-        eng_(index_, SyncSampler{}, std::move(faults), shard.partition(node_count),
-             shard.force_lookahead > 0
-                 ? shard.force_lookahead
-                 : fault_adjusted_floor(dist_floor(dist), config.fault)),
-        dist_(dist),
-        config_(config),
-        out_(out),
-        travel_(static_cast<std::size_t>(requests.size()) + 1, 0),
-        done_(static_cast<std::size_t>(eng_.lane_count())) {
-    ARROWDQ_ASSERT_MSG(config.center >= 0 && config.center < node_count,
-                       "center must be a node");
-    eng_.reserve(2 * static_cast<std::size_t>(requests.size()) + 2);
-    eng_.set_service_time(config.service_time);
-    eng_.set_handler(MirrorHandler<SCentralMirror>{this});
-  }
-
-  QueuingOutcome run(const RequestSet& requests) {
-    const NodeId center = config_.center;
-    for (const Request& r : requests.real()) {
-      ARROWDQ_ASSERT_MSG(r.node >= 0 && r.node < index_.node_count(),
-                         "request from a non-node");
-      eng_.post_initial(r.node, r.time, IssueEvent{this, r});
-      travel_[static_cast<std::size_t>(r.id)] = ticks_to_units(dist(r.node, center));
-    }
-    eng_.run();
-    for (const std::vector<Completion>& lane : done_)
-      for (const Completion& c : lane) out_.record(c);
-    if (config_.fault_stats_out != nullptr) {
-      if constexpr (Faults::kActive) {
-        *config_.fault_stats_out = eng_.faults().stats();
-      } else {
-        *config_.fault_stats_out = FaultStats{};
-      }
-    }
-    ARROWDQ_ASSERT_MSG(out_.is_complete(),
-                       "centralized protocol did not complete all requests");
-    return std::move(out_);
-  }
-
-  void issue(const Request& r) {
-    Ctx ctx = eng_.ctx_of(r.node);
-    const NodeId center = config_.center;
-    if (r.node == center) {
-      RequestId pred = enqueue(r.id);
-      done_[static_cast<std::size_t>(ctx.lane())].push_back(
-          Completion{r.id, pred, ctx.now(), 0, 0});
-      return;
-    }
-    Time d = dist(r.node, center);
-    ctx.send_with_latency(r.node, center, d,
-                          SCentralMsg{SCentralKind::kRequest, r.id, kNoRequest, r.node});
-  }
-
-  void receive(Ctx& ctx, NodeId /*from*/, NodeId at, const SCentralMsg& m) {
-    const NodeId center = config_.center;
-    if (m.kind == SCentralKind::kRequest) {
-      ARROWDQ_ASSERT(at == center);
-      RequestId pred = enqueue(m.req);
-      if (m.requester == center) {
-        done_[static_cast<std::size_t>(ctx.lane())].push_back(
-            Completion{m.req, pred, ctx.now(), /*hops=*/1,
-                       static_cast<Weight>(travel_[static_cast<std::size_t>(m.req)])});
-      } else {
-        ctx.send_with_latency(center, m.requester, dist(center, m.requester),
-                              SCentralMsg{SCentralKind::kReply, m.req, pred, m.requester});
-      }
-    } else {
-      done_[static_cast<std::size_t>(ctx.lane())].push_back(
-          Completion{m.req, m.pred, ctx.now(), /*hops=*/2,
-                     static_cast<Weight>(2 * travel_[static_cast<std::size_t>(m.req)])});
-    }
-  }
-
- private:
-  struct IssueEvent {
-    SCentralMirror* d;
-    Request r;
-    void operator()() const { d->issue(r); }
-  };
-
-  // tail_ is only touched by events executing at the center, i.e. the
-  // center's lane — single-writer by construction.
-  RequestId enqueue(RequestId req) {
-    RequestId pred = tail_;
-    tail_ = req;
-    return pred;
-  }
-
-  Time dist(NodeId u, NodeId v) const { return u == v ? Time{0} : dist_(u, v); }
-
-  DirectOnlyIndex index_;
-  Eng eng_;
-  Dist dist_;
-  const CentralizedConfig& config_;
-  QueuingOutcome& out_;
-  std::vector<Weight> travel_;  // filled pre-run, read-only while running
-  std::vector<std::vector<Completion>> done_;
-  RequestId tail_ = kRootRequest;
-};
-
-struct SFindMsg {
-  RequestId req = kNoRequest;
-  NodeId requester = kNoNode;
-  std::int32_t hops = 0;
-  Weight dist_units = 0;
-};
-
-/// Sharded mirror of pointer_forwarding.cpp's one-shot Forwarder.
-template <typename Dist, typename Faults>
-class SForwardMirror {
- public:
-  using Eng = ShardedNetSim<SFindMsg, SyncSampler, MirrorHandler<SForwardMirror>, Faults,
-                            DirectOnlyIndex>;
-  using Ctx = typename Eng::LaneCtx;
-
-  SForwardMirror(NodeId node_count, const RequestSet& requests, Dist dist, Faults faults,
-                 const PointerForwardingConfig& config, QueuingOutcome& out,
-                 const ShardSpec& shard)
-      : index_{node_count},
-        eng_(index_, SyncSampler{}, std::move(faults), shard.partition(node_count),
-             shard.force_lookahead > 0
-                 ? shard.force_lookahead
-                 : fault_adjusted_floor(dist_floor(dist), config.fault)),
-        dist_(dist),
-        config_(config),
-        out_(out),
-        hint_(static_cast<std::size_t>(node_count)),
-        last_req_(static_cast<std::size_t>(node_count), kNoRequest),
-        done_(static_cast<std::size_t>(eng_.lane_count())),
-        hop_cap_(8 * node_count + 16) {
-    eng_.reserve(2 * static_cast<std::size_t>(requests.size()) + 2);
-    eng_.set_service_time(config.service_time);
-    eng_.set_handler(MirrorHandler<SForwardMirror>{this});
-    for (NodeId v = 0; v < node_count; ++v)
-      hint_[static_cast<std::size_t>(v)] = config.initial_owner;
-    last_req_[static_cast<std::size_t>(config.initial_owner)] = kRootRequest;
-  }
-
-  QueuingOutcome run(const RequestSet& requests) {
-    for (const Request& r : requests.real()) {
-      ARROWDQ_ASSERT_MSG(r.node >= 0 && r.node < index_.node_count(),
-                         "request from a non-node");
-      eng_.post_initial(r.node, r.time, IssueEvent{this, r});
-    }
-    eng_.run();
-    for (const std::vector<Completion>& lane : done_)
-      for (const Completion& c : lane) out_.record(c);
-    if (config_.fault_stats_out != nullptr) {
-      if constexpr (Faults::kActive) {
-        *config_.fault_stats_out = eng_.faults().stats();
-      } else {
-        *config_.fault_stats_out = FaultStats{};
-      }
-    }
-    ARROWDQ_ASSERT_MSG(out_.is_complete(),
-                       "pointer forwarding did not complete all requests");
-    return std::move(out_);
-  }
-
-  void issue(const Request& r) {
-    Ctx ctx = eng_.ctx_of(r.node);
-    auto vi = static_cast<std::size_t>(r.node);
-    if (hint_[vi] == r.node) {
-      RequestId pred = last_req_[vi];
-      ARROWDQ_ASSERT(pred != kNoRequest);
-      last_req_[vi] = r.id;
-      done_[static_cast<std::size_t>(ctx.lane())].push_back(
-          Completion{r.id, pred, ctx.now(), 0, 0});
-      return;
-    }
-    NodeId target = hint_[vi];
-    last_req_[vi] = r.id;
-    hint_[vi] = r.node;
-    Weight leg = ticks_to_units(dist_(r.node, target));
-    ctx.send_with_latency(r.node, target, dist_(r.node, target),
-                          SFindMsg{r.id, r.node, 1, leg});
-  }
-
-  void receive(Ctx& ctx, NodeId from, NodeId at, const SFindMsg& m) {
-    ARROWDQ_ASSERT_MSG(m.hops <= hop_cap_, "pointer-forwarding find did not terminate");
-    auto ui = static_cast<std::size_t>(at);
-    NodeId next = hint_[ui];
-    hint_[ui] = config_.mode == ForwardingMode::kCompressToRequester ? m.requester : from;
-    if (next == at) {
-      RequestId pred = last_req_[ui];
-      ARROWDQ_ASSERT(pred != kNoRequest);
-      done_[static_cast<std::size_t>(ctx.lane())].push_back(
-          Completion{m.req, pred, ctx.now(), m.hops, m.dist_units});
-      return;
-    }
-    Weight leg = ticks_to_units(dist_(at, next));
-    ctx.send_with_latency(at, next, dist_(at, next),
-                          SFindMsg{m.req, m.requester, m.hops + 1, m.dist_units + leg});
-  }
-
- private:
-  struct IssueEvent {
-    SForwardMirror* d;
-    Request r;
-    void operator()() const { d->issue(r); }
-  };
-
-  DirectOnlyIndex index_;
-  Eng eng_;
-  Dist dist_;
-  const PointerForwardingConfig& config_;
-  QueuingOutcome& out_;
-  std::vector<NodeId> hint_;          // element-owned by the node's lane
-  std::vector<RequestId> last_req_;   // element-owned by the node's lane
-  std::vector<std::vector<Completion>> done_;
-  std::int32_t hop_cap_;
-};
-
-enum class SFwdLoopKind : std::uint8_t { kFind, kReply };
-
-struct SFwdLoopMsg {
-  SFwdLoopKind kind = SFwdLoopKind::kFind;
-  RequestId req = kNoRequest;
-  NodeId requester = kNoNode;
-  std::int32_t hops = 0;
-};
-
-/// Sharded mirror of pointer_forwarding.cpp's LoopForwarder.
-template <typename Dist, typename Faults>
-class SFwdLoopMirror {
- public:
-  using Eng = ShardedNetSim<SFwdLoopMsg, SyncSampler, MirrorHandler<SFwdLoopMirror>, Faults,
-                            DirectOnlyIndex>;
-  using Ctx = typename Eng::LaneCtx;
-
-  SFwdLoopMirror(NodeId node_count, std::int64_t reqs_per_node, Dist dist, Faults faults,
-                 const PointerForwardingConfig& config, const ShardSpec& shard)
-      : index_{node_count},
-        eng_(index_, SyncSampler{}, std::move(faults), shard.partition(node_count),
-             shard.force_lookahead > 0
-                 ? shard.force_lookahead
-                 : fault_adjusted_floor(dist_floor(dist), config.fault)),
-        dist_(dist),
-        config_(config),
-        requests_per_node_(reqs_per_node),
-        hint_(static_cast<std::size_t>(node_count)),
-        last_req_(static_cast<std::size_t>(node_count), kNoRequest),
-        issued_(static_cast<std::size_t>(node_count), 0),
-        issue_time_(static_cast<std::size_t>(node_count), 0),
-        accum_(static_cast<std::size_t>(eng_.lane_count())),
-        hop_cap_(8 * node_count + 16) {
-    const auto n = static_cast<std::size_t>(node_count);
-    eng_.reserve(4 * n);
-    eng_.set_service_time(config.service_time);
-    eng_.set_handler(MirrorHandler<SFwdLoopMirror>{this});
-    for (NodeId v = 0; v < node_count; ++v)
-      hint_[static_cast<std::size_t>(v)] = config.initial_owner;
-    last_req_[static_cast<std::size_t>(config.initial_owner)] = kRootRequest;
-  }
-
-  ForwardingLoopResult run() {
-    for (NodeId v = 0; v < index_.node_count(); ++v)
-      eng_.post_initial(v, 0, IssueEvent{this, v});
-    eng_.run();
-    ForwardingLoopResult res;
-    res.makespan = eng_.makespan();
-    res.total_requests =
-        static_cast<std::int64_t>(index_.node_count()) * requests_per_node_;
-    __int128 lat_sum = 0;
-    std::int64_t lat_count = 0;
-    for (const LaneAccum& a : accum_) {
-      res.find_messages += a.find_messages;
-      res.reply_messages += a.reply_messages;
-      lat_sum += a.lat_sum;
-      lat_count += a.lat_count;
-    }
-    res.avg_hops_per_request =
-        res.total_requests == 0
-            ? 0.0
-            : static_cast<double>(res.find_messages) / static_cast<double>(res.total_requests);
-    res.avg_round_latency_units =
-        lat_count == 0 ? 0.0
-                       : static_cast<double>(lat_sum) / static_cast<double>(lat_count) /
-                             static_cast<double>(kTicksPerUnit);
-    if constexpr (Faults::kActive) {
-      res.messages_dropped = eng_.faults().stats().messages_dropped;
-      res.messages_duplicated = eng_.faults().stats().messages_duplicated;
-      res.crashes = static_cast<std::int32_t>(eng_.faults().crashes().size());
-    }
-    return res;
-  }
-
-  void issue(NodeId v) {
-    Ctx ctx = eng_.ctx_of(v);
-    auto vi = static_cast<std::size_t>(v);
-    if (issued_[vi] >= requests_per_node_) return;
-    ++issued_[vi];
-    issue_time_[vi] = ctx.now();
-    RequestId a = lane_request_id(ctx.lane(), eng_.lane_count(),
-                                  accum_[static_cast<std::size_t>(ctx.lane())]);
-    if (hint_[vi] == v) {
-      ARROWDQ_ASSERT(last_req_[vi] != kNoRequest);
-      last_req_[vi] = a;
-      round_done(ctx, v);
-      return;
-    }
-    NodeId target = hint_[vi];
-    last_req_[vi] = a;
-    hint_[vi] = v;
-    ++accum_[static_cast<std::size_t>(ctx.lane())].find_messages;
-    ctx.send_with_latency(v, target, dist_(v, target),
-                          SFwdLoopMsg{SFwdLoopKind::kFind, a, v, 1});
-  }
-
-  void receive(Ctx& ctx, NodeId from, NodeId at, const SFwdLoopMsg& m) {
-    if (m.kind == SFwdLoopKind::kReply) {
-      round_done(ctx, at);
-      return;
-    }
-    ARROWDQ_ASSERT_MSG(m.hops <= hop_cap_, "pointer-forwarding find did not terminate");
-    auto ui = static_cast<std::size_t>(at);
-    NodeId next = hint_[ui];
-    hint_[ui] = config_.mode == ForwardingMode::kCompressToRequester ? m.requester : from;
-    if (next == at) {
-      ARROWDQ_ASSERT(last_req_[ui] != kNoRequest);
-      if (m.requester == at) {
-        round_done(ctx, at);
-      } else {
-        ++accum_[static_cast<std::size_t>(ctx.lane())].reply_messages;
-        ctx.send_with_latency(at, m.requester, dist_(at, m.requester),
-                              SFwdLoopMsg{SFwdLoopKind::kReply, last_req_[ui], m.requester, 0});
-      }
-      return;
-    }
-    ++accum_[static_cast<std::size_t>(ctx.lane())].find_messages;
-    ctx.send_with_latency(at, next, dist_(at, next),
-                          SFwdLoopMsg{SFwdLoopKind::kFind, m.req, m.requester, m.hops + 1});
-  }
-
- private:
-  struct IssueEvent {
-    SFwdLoopMirror* d;
-    NodeId v;
-    void operator()() const { d->issue(v); }
-  };
-
-  void round_done(Ctx& ctx, NodeId v) {
-    LaneAccum& acc = accum_[static_cast<std::size_t>(ctx.lane())];
-    acc.lat_sum += ctx.now() - issue_time_[static_cast<std::size_t>(v)];
-    ++acc.lat_count;
-    ctx.in(config_.service_time, IssueEvent{this, v});
-  }
-
-  DirectOnlyIndex index_;
-  Eng eng_;
-  Dist dist_;
-  const PointerForwardingConfig& config_;
-  std::int64_t requests_per_node_;
-  std::vector<NodeId> hint_;
-  std::vector<RequestId> last_req_;
-  std::vector<std::int64_t> issued_;
-  std::vector<Time> issue_time_;
-  std::vector<LaneAccum> accum_;
-  std::int32_t hop_cap_;
-};
-
-}  // namespace
-
-// --- entry points -----------------------------------------------------------
-
 ClosedLoopResult run_arrow_closed_loop_sharded(const Tree& tree, LatencyModel& latency,
                                                const ClosedLoopConfig& config,
                                                const ShardSpec& shard,
                                                ParallelStats* par_out) {
-  return run_loop_sharded(SMatLoopTopo{&tree}, latency, config, shard, par_out);
+  return detail::run_arrow_loop(detail::MaterializedTopo{&tree}, latency, config,
+                                OnShards{shard, par_out});
 }
 
 ClosedLoopResult run_arrow_closed_loop_implicit_sharded(const ImplicitTopology& topo,
@@ -808,26 +33,25 @@ ClosedLoopResult run_arrow_closed_loop_implicit_sharded(const ImplicitTopology& 
                                                         ParallelStats* par_out) {
   ARROWDQ_ASSERT_MSG(config.requests_per_node <= std::numeric_limits<std::int32_t>::max(),
                      "implicit tier keeps 32-bit round counters");
-  return run_loop_sharded(SImplLoopTopo{topo}, latency, config, shard, par_out);
+  return detail::run_arrow_loop(detail::ImplicitLoopTopo{topo}, latency, config,
+                                OnShards{shard, par_out});
 }
 
 ShardedArrowRun run_arrow_one_shot_sharded(const Tree& tree, const RequestSet& requests,
                                            LatencyModel& latency, Time service_time,
                                            const FaultSpec& fault, const ShardSpec& shard) {
-  ARROWDQ_ASSERT_MSG(requests.root() >= 0 && requests.root() < tree.node_count(),
-                     "request root is not a tree node");
-  ARROWDQ_ASSERT_MSG(!fault.has_crash(), "sharded runs do not support crash schedules");
-  const Tree rooted =
-      tree.root() == requests.root() ? tree : tree.rerooted(requests.root());
   const Graph graph = tree.as_graph();
   QueuingOutcome out(requests.size());
   return with_static_latency(latency, [&](auto lat) {
     return with_fault_filter(fault, tree.node_count(), [&](auto filt) {
-      using L = decltype(lat);
-      using F = decltype(filt);
-      SArrowMirror<L, F> mirror(rooted, graph, std::move(lat), std::move(filt), service_time,
-                                requests, fault, out, shard);
-      return mirror.finish(requests);
+      detail::ArrowOneShotDriver<decltype(lat), decltype(filt), OnShards> driver(
+          tree, graph, std::move(lat), std::move(filt), service_time, requests, fault, out,
+          OnShards{shard});
+      driver.run(requests);
+      const NodeId sink = detail::unique_sink(driver.links());
+      return ShardedArrowRun{std::move(out), std::move(driver.links()), sink,
+                             driver.engine().stats().edge_messages, driver.engine().makespan(),
+                             driver.engine().fault_stats()};
     });
   });
 }
@@ -836,16 +60,9 @@ QueuingOutcome run_centralized_sharded(NodeId node_count, const RequestSet& requ
                                        const DistTicksFn& dist,
                                        const CentralizedConfig& config,
                                        const ShardSpec& shard) {
-  ARROWDQ_ASSERT_MSG(!config.fault.has_crash(), "sharded runs do not support crash schedules");
-  QueuingOutcome out(requests.size());
   return with_static_dist(dist, [&](auto oracle) {
-    return with_fault_filter(config.fault, node_count, [&](auto filt) {
-      using D = decltype(oracle);
-      using F = decltype(filt);
-      SCentralMirror<D, F> mirror(node_count, requests, oracle, std::move(filt), config, out,
-                                  shard);
-      return mirror.run(requests);
-    });
+    return detail::run_centralized_one_shot(node_count, requests, oracle, config,
+                                            OnShards{shard});
   });
 }
 
@@ -853,40 +70,18 @@ QueuingOutcome run_pointer_forwarding_sharded(NodeId node_count, const RequestSe
                                               const DistTicksFn& dist,
                                               const PointerForwardingConfig& config,
                                               const ShardSpec& shard) {
-  ARROWDQ_ASSERT_MSG(node_count >= 1, "need at least one node");
-  ARROWDQ_ASSERT_MSG(config.initial_owner >= 0 && config.initial_owner < node_count,
-                     "initial owner must be a node");
-  ARROWDQ_ASSERT_MSG(requests.root() == config.initial_owner,
-                     "request-set root must equal the initial owner");
-  ARROWDQ_ASSERT_MSG(!config.fault.has_crash(), "sharded runs do not support crash schedules");
-  QueuingOutcome out(requests.size());
   return with_static_dist(dist, [&](auto oracle) {
-    return with_fault_filter(config.fault, node_count, [&](auto filt) {
-      using D = decltype(oracle);
-      using F = decltype(filt);
-      SForwardMirror<D, F> mirror(node_count, requests, oracle, std::move(filt), config, out,
-                                  shard);
-      return mirror.run(requests);
-    });
+    return detail::run_forwarding_one_shot(node_count, requests, oracle, config,
+                                           OnShards{shard});
   });
 }
 
 ForwardingLoopResult run_pointer_forwarding_closed_loop_sharded(
     NodeId node_count, std::int64_t requests_per_node, const DistTicksFn& dist,
     const PointerForwardingConfig& config, const ShardSpec& shard) {
-  ARROWDQ_ASSERT_MSG(node_count >= 1, "need at least one node");
-  ARROWDQ_ASSERT_MSG(requests_per_node >= 0, "requests_per_node must be >= 0");
-  ARROWDQ_ASSERT_MSG(config.initial_owner >= 0 && config.initial_owner < node_count,
-                     "initial owner must be a node");
-  ARROWDQ_ASSERT_MSG(!config.fault.has_crash(), "sharded runs do not support crash schedules");
   return with_static_dist(dist, [&](auto oracle) {
-    return with_fault_filter(config.fault, node_count, [&](auto filt) {
-      using D = decltype(oracle);
-      using F = decltype(filt);
-      SFwdLoopMirror<D, F> mirror(node_count, requests_per_node, oracle, std::move(filt),
-                                  config, shard);
-      return mirror.run();
-    });
+    return detail::run_forwarding_loop(node_count, requests_per_node, oracle, config,
+                                       OnShards{shard});
   });
 }
 

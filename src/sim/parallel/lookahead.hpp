@@ -21,10 +21,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <type_traits>
 
 #include "graph/graph.hpp"
+#include "graph/implicit.hpp"
 #include "sim/fault.hpp"
 #include "sim/latency.hpp"
+#include "sim/network.hpp"
 #include "support/types.hpp"
 
 namespace arrowdq {
@@ -56,6 +60,20 @@ inline Weight min_edge_weight(const Graph& g) {
   Weight w = std::numeric_limits<Weight>::max();
   for (const Edge& e : g.edges()) w = std::min(w, e.weight);
   return w == std::numeric_limits<Weight>::max() ? 1 : w;
+}
+
+/// The implicit tier's tree edges all have unit weight.
+inline Weight min_edge_weight(const ImplicitTreeIndex&) { return 1; }
+
+/// Latency floor of an edge send on `index`. Direct-only drivers never send
+/// over an edge, so only their direct-send floor bounds the lookahead.
+template <typename Latency, typename Index>
+Time edge_floor(const Latency& latency, const Index& index) {
+  if constexpr (std::is_same_v<Index, DirectOnlyIndex>) {
+    return kTimeNever;
+  } else {
+    return sampler_floor(latency, min_edge_weight(index));
+  }
 }
 
 /// Scale a latency floor down for faults that can shrink latencies: a spike

@@ -1,19 +1,20 @@
-// Sharded-engine entry points: the serial drivers' workloads executed on
-// ShardedNetSim (sim/parallel/sharded_sim.hpp) with results bit-identical to
-// the serial core for any shard count K (including K = 1, which runs the
-// identical window/merge machinery inline with no worker threads).
+// Sharded-engine entry points: each protocol's one driver (the same class
+// the serial entry points run) on ShardedNetSim (sim/parallel/sharded_sim.hpp),
+// with results bit-identical to the serial core for any shard count K
+// (including K = 1, which runs the identical window/merge machinery inline
+// with no worker threads). sim/engine.hpp describes the two engines.
 //
-// Each entry mirrors its serial driver statement-for-statement on the
-// schedule-call path, so every observable — makespan, message counts,
-// completion records, exact latency sums — reproduces the serial run;
-// tests/parallel_test.cpp pins all 30 golden hashes through these entries at
-// K = 2 and K = 4 plus randomized K ∈ {1, 2, 4} property runs.
+// Every observable — makespan, message counts, completion records, exact
+// latency sums — reproduces the serial run; tests/parallel_test.cpp pins all
+// 30 golden hashes through these entries at K = 2 and K = 4 plus randomized
+// K ∈ {1, 2, 4} property runs.
 //
 // Restrictions relative to the serial drivers:
-//  * Crash faults are not supported (the recovery wave is a global pointer
-//    rewrite that cannot run inside a safe window); message faults (loss,
-//    duplication, jitter, spikes) are fully supported — the filter's single
-//    RNG stream is consumed at window barriers in exact serial order.
+//  * Topology faults (crash, partition, churn) are refused by assertion:
+//    their recovery waves are global pointer rewrites that cannot run inside
+//    a safe window. Message faults (loss, duplication, jitter, spikes) are
+//    fully supported — the filter's single RNG stream is consumed at window
+//    barriers in exact serial order.
 //  * Direct sends must carry latency >= 1 tick (asserted), and a custom
 //    ClosedLoopConfig::notify_latency must be pure and thread-safe — lanes
 //    evaluate it concurrently.

@@ -1,5 +1,10 @@
 // Sharded conservative discrete-event engine with bit-identical results.
 //
+// It is the second of the two engines every protocol driver runs on (see
+// sim/engine.hpp): a driver instantiated on OnShards gets a LaneCtx for the
+// lane owning each node and makes the same schedule calls through it that it
+// makes on the serial core.
+//
 // ShardedNetSim partitions the nodes of one simulation run into K shards
 // ("lanes"), each with its own BucketedEventQueue + event arena, and
 // advances all lanes concurrently through *safe windows* [W0, W0 + L): L is
@@ -59,25 +64,13 @@
 #include "sim/fault.hpp"
 #include "sim/latency.hpp"
 #include "sim/network.hpp"
+#include "sim/parallel/lookahead.hpp"
 #include "sim/parallel/partition.hpp"
 #include "sim/simulator.hpp"
 #include "support/assert.hpp"
 #include "support/types.hpp"
 
 namespace arrowdq {
-
-/// Index stand-in for drivers that never send over graph edges (the
-/// centralized and pointer-forwarding baselines only use explicit-latency
-/// direct sends against a distance oracle).
-struct DirectOnlyIndex {
-  NodeId n = 0;
-  NodeId node_count() const { return n; }
-  std::size_t dir_edge_count() const { return 0; }
-  DirEdgeRef find_edge(NodeId, NodeId) const {
-    ARROWDQ_ASSERT_MSG(false, "direct-only driver sent over a graph edge");
-    return DirEdgeRef{};
-  }
-};
 
 template <typename M, typename Latency, typename Handler, typename Faults,
           typename Index = Graph>
@@ -87,6 +80,7 @@ class ShardedNetSim {
                 "network message types must be trivially copyable");
 
   using Sim = BasicSimulator<BucketedEventQueue>;  // 48-byte inline slots
+  static constexpr bool kSharded = true;
 
   /// Provisional in-window keys live above every real sequence number the
   /// merge can allocate (asserted), so a time bucket receiving final seqs
@@ -96,9 +90,12 @@ class ShardedNetSim {
   static_assert(kProvBase < EventEntry::kMaxSeq);
 
   class LaneCtx;
+  using Ctx = LaneCtx;
 
+  /// `stats_out`, when non-null, receives the window/merge counters after
+  /// run().
   ShardedNetSim(const Index& index, Latency latency, Faults faults,
-                ShardPartition partition, Time lookahead)
+                ShardPartition partition, Time lookahead, ParallelStats* stats_out = nullptr)
       : index_(index),
         latency_(std::move(latency)),
         faults_(std::move(faults)),
@@ -106,10 +103,16 @@ class ShardedNetSim {
         lookahead_(std::max<Time>(1, lookahead)),
         fifo_ready_(index.dir_edge_count(), 0),
         busy_until_(static_cast<std::size_t>(index.node_count()), 0),
-        lanes_(static_cast<std::size_t>(partition_.shard_count())) {
+        lanes_(static_cast<std::size_t>(partition_.shard_count())),
+        stats_out_(stats_out) {
     ARROWDQ_ASSERT_MSG(partition_.node_count() == index.node_count(),
                        "partition does not cover the node set");
     stats_par_.lookahead = lookahead_;
+    // Graph builds its edge index lazily and not thread-safely; build it
+    // now, before lanes can query it.
+    if constexpr (std::is_same_v<Index, Graph>) {
+      if (index.node_count() >= 2) (void)index.find_edge(0, 1);
+    }
   }
 
   ShardedNetSim(const ShardedNetSim&) = delete;
@@ -122,8 +125,9 @@ class ShardedNetSim {
     service_time_ = ticks;
   }
 
-  /// Capacity hint, split across lanes.
-  void reserve(std::size_t n_events) {
+  /// Capacity hint, split across lanes. Messages ride inline in lane events,
+  /// so only the event count matters.
+  void reserve(std::size_t n_events, std::size_t /*messages*/) {
     const std::size_t per = n_events / lanes_.size() + 16;
     for (Lane& l : lanes_) {
       l.sim.reserve(per);
@@ -134,17 +138,17 @@ class ShardedNetSim {
 
   int lane_of(NodeId v) const { return partition_.shard_of(v); }
   int lane_count() const { return static_cast<int>(lanes_.size()); }
-  const ShardPartition& partition() const { return partition_; }
   Time makespan() const { return makespan_; }
   const NetworkStats& stats() const { return stats_; }
-  const ParallelStats& parallel_stats() const { return stats_par_; }
   Faults& faults() { return faults_; }
-  const Faults& faults() const { return faults_; }
+  FaultStats fault_stats() const {
+    if constexpr (Faults::kActive) return faults_.stats();
+    return FaultStats{};
+  }
 
-  /// Pre-run scheduling (the driver's initial events). Must be called in
-  /// the exact order the serial driver would call sim.at(): each post
-  /// consumes the next global sequence number, mirroring the serial
-  /// schedule counter.
+  /// Pre-run scheduling (the driver's initial events), in the driver's
+  /// order: each post consumes the next global sequence number, exactly as
+  /// the serial schedule counter does.
   template <typename F>
   void post_initial(NodeId owner, Time t, F&& fn) {
     ARROWDQ_ASSERT(!running_);
@@ -168,10 +172,11 @@ class ShardedNetSim {
     }
     running_ = false;
     for (const Lane& l : lanes_) stats_par_.events_executed += l.sim.events_executed();
+    if (stats_out_ != nullptr) *stats_out_ = stats_par_;
   }
 
-  /// Per-lane driver-facing context: what Network + Simulator expose to a
-  /// serial driver, scoped to one shard.
+  /// Per-lane driver context: the serial engine's context surface, scoped
+  /// to one shard.
   class LaneCtx {
    public:
     LaneCtx(ShardedNetSim* eng, int lane) : eng_(eng), lane_(lane) {}
@@ -179,20 +184,20 @@ class ShardedNetSim {
     Time now() const { return eng_->lanes_[static_cast<std::size_t>(lane_)].sim.now(); }
     int lane() const { return lane_; }
 
-    /// Mirror of Network::send — logged here, finalized (latency sample,
-    /// fault draws, FIFO clamp, stats) at the barrier in serial order.
+    /// Network::send, logged here and finalized (latency sample, fault
+    /// draws, FIFO clamp, stats) at the barrier in serial order.
     void send(NodeId from, NodeId to, M msg) {
       eng_->log_call(lane_, LogKind::kEdgeSend, /*t_or_lat=*/0, SendRec{msg, from, to});
     }
 
-    /// Mirror of Network::send_with_latency. The sharded engine requires
-    /// latency >= the direct-send floor folded into the lookahead (>= 1).
+    /// Network::send_with_latency. The sharded engine requires latency >=
+    /// the direct-send floor folded into the lookahead (>= 1).
     void send_with_latency(NodeId from, NodeId to, Time latency, M msg) {
       ARROWDQ_ASSERT_MSG(latency >= 1, "sharded direct sends need latency >= 1 tick");
       eng_->log_call(lane_, LogKind::kDirectSend, latency, SendRec{msg, from, to});
     }
 
-    /// Mirror of Simulator::at for driver-local events (issue loops).
+    /// Simulator::at for driver-local events (issue loops).
     template <typename F>
     void at(Time t, F&& fn) {
       eng_->lane_at(lane_, t, std::forward<F>(fn));
@@ -525,7 +530,7 @@ class ShardedNetSim {
     }
   }
 
-  /// Serial mirror of Network::send, executed at the barrier in merged
+  /// Network::send's finalization, executed at the barrier in merged
   /// (serial) order: sampler and fault RNG streams and the FIFO horizons
   /// see the draws in exactly the serial sequence.
   void finalize_edge_send(const LogEntry& e, const SendRec& s, std::uint64_t seq) {
@@ -596,6 +601,37 @@ class ShardedNetSim {
   std::vector<std::size_t> head_;  // merge scratch
   NetworkStats stats_;
   ParallelStats stats_par_;
+  ParallelStats* stats_out_;
+};
+
+/// Engine selector for the sharded engine (see sim/engine.hpp): the same
+/// driver template, run on `shard.shards` lanes. Lanes always use 48-byte
+/// event slots, whatever simulator the serial tier picks.
+struct OnShards {
+  const ShardSpec& shard;
+  ParallelStats* stats_out = nullptr;  // window/merge counters after the run
+
+  template <typename M, typename Latency, typename Handler, typename Faults, typename Index,
+            typename Sim>
+  using Engine = ShardedNetSim<M, Latency, Handler, Faults, Index>;
+
+  /// Every sharded run starts here. Message faults run bit-identically;
+  /// topology faults need recovery waves (global pointer rewrites) that no
+  /// safe window can run. The lookahead is the smaller of the edge-send and
+  /// the driver's direct-send latency floors, cut for latency-shrinking
+  /// faults, unless the spec forces one.
+  template <typename Eng, typename Index, typename Latency, typename Faults>
+  Eng make(const Index& index, Latency latency, Faults faults, Time direct_floor,
+           const FaultSpec& fault) const {
+    ARROWDQ_ASSERT_MSG(!fault.has_topology_faults(),
+                       "sharded runs do not support topology faults (crash, partition, churn)");
+    const Time lookahead =
+        shard.force_lookahead > 0
+            ? shard.force_lookahead
+            : combined_lookahead(edge_floor(latency, index), direct_floor, fault);
+    return Eng(index, std::move(latency), std::move(faults),
+               shard.partition(index.node_count()), lookahead, stats_out);
+  }
 };
 
 }  // namespace arrowdq

@@ -430,6 +430,120 @@ TEST(ShardedEquivalence, ForwardingLoopUnderMessageFaults) {
   }
 }
 
+// The one-shot baselines under message faults: centralized and forwarding
+// (both modes), serial vs K in {1, 2, 4}, compared on every completion record
+// and on the fault counters the filter reports.
+TEST(ShardedEquivalence, BaselineOneShotsUnderMessageFaults) {
+  const FaultSpec faults[] = {
+      FaultSpec::loss(0.1),
+      FaultSpec::duplicate(0.15),
+      FaultSpec::jitter(0.25, 2.0),
+      FaultSpec::chaos().without_crash(),
+  };
+  auto outcome_hash = [](const QueuingOutcome& out) {
+    Fnv1a h;
+    hash_outcome(h, out);
+    return h.value();
+  };
+  auto expect_stats_equal = [](const FaultStats& a, const FaultStats& b, const char* what,
+                               int seed, int k) {
+    EXPECT_EQ(a.messages_dropped, b.messages_dropped) << what << " seed " << seed << " K=" << k;
+    EXPECT_EQ(a.messages_duplicated, b.messages_duplicated)
+        << what << " seed " << seed << " K=" << k;
+    EXPECT_EQ(a.partition_deferred, b.partition_deferred)
+        << what << " seed " << seed << " K=" << k;
+  };
+  for (int seed = 0; seed < 8; ++seed) {
+    auto inst = testutil::make_instance(seed * 5 + 3);
+    AllPairs apsp(inst.graph);
+    auto dist = apsp_dist_fn(apsp);
+    const NodeId n = inst.graph.node_count();
+    FaultSpec fault = faults[seed % 4];
+    fault.seed = static_cast<std::uint64_t>(seed) * 61 + 29;
+    const Time service = seed % 2 ? kTicksPerUnit / 8 : 0;
+
+    FaultStats serial_stats;
+    CentralizedConfig central;
+    central.center = inst.requests.root();
+    central.service_time = service;
+    central.fault = fault;
+    central.fault_stats_out = &serial_stats;
+    const std::uint64_t central_hash =
+        outcome_hash(run_centralized(n, inst.requests, dist, central));
+    for (int k : {1, 2, 4}) {
+      FaultStats stats;
+      central.fault_stats_out = &stats;
+      EXPECT_EQ(outcome_hash(run_centralized_sharded(n, inst.requests, dist, central, spec_of(k))),
+                central_hash)
+          << "centralized seed " << seed << " K=" << k;
+      expect_stats_equal(serial_stats, stats, "centralized", seed, k);
+    }
+    if (fault.loss_prob > 0.0 || fault.dup_prob > 0.0)
+      EXPECT_GT(serial_stats.messages_dropped + serial_stats.messages_duplicated, 0u)
+          << "centralized seed " << seed << ": the faults must fire";
+
+    PointerForwardingConfig fwd;
+    fwd.mode = seed % 2 ? ForwardingMode::kReverseToSender : ForwardingMode::kCompressToRequester;
+    fwd.service_time = service;
+    fwd.initial_owner = inst.requests.root();
+    fwd.fault = fault;
+    fwd.fault_stats_out = &serial_stats;
+    const std::uint64_t fwd_hash =
+        outcome_hash(run_pointer_forwarding(n, inst.requests, dist, fwd));
+    for (int k : {1, 2, 4}) {
+      FaultStats stats;
+      fwd.fault_stats_out = &stats;
+      EXPECT_EQ(
+          outcome_hash(run_pointer_forwarding_sharded(n, inst.requests, dist, fwd, spec_of(k))),
+          fwd_hash)
+          << "forwarding seed " << seed << " K=" << k;
+      expect_stats_equal(serial_stats, stats, "forwarding", seed, k);
+    }
+  }
+}
+
+// Topology faults (crash, partition, churn) need recovery waves, which are
+// global pointer rewrites no safe window can run. Every sharded entry point
+// refuses them instead of running on without recovery.
+TEST(ShardedEntryDeathTest, RefusesTopologyFaults) {
+  auto inst = testutil::make_instance(4);
+  const Tree tree = testutil::make_tree_instance(4).tree;
+  AllPairs apsp(inst.graph);
+  auto dist = apsp_dist_fn(apsp);
+  const NodeId n = inst.graph.node_count();
+  const RequestSet tree_requests = one_shot_all(tree.node_count(), tree.root());
+  for (const FaultSpec& fault :
+       {FaultSpec::crash(2), FaultSpec::partition(2), FaultSpec::churn(0.2)}) {
+    ClosedLoopConfig loop;
+    loop.requests_per_node = 3;
+    loop.fault = fault;
+    EXPECT_DEATH(
+        {
+          auto lat = make_synchronous();
+          run_arrow_closed_loop_sharded(tree, *lat, loop, spec_of(2));
+        },
+        "topology faults");
+    EXPECT_DEATH(
+        {
+          auto lat = make_synchronous();
+          run_arrow_one_shot_sharded(tree, tree_requests, *lat, 0, fault, spec_of(2));
+        },
+        "topology faults");
+    CentralizedConfig central;
+    central.center = inst.requests.root();
+    central.fault = fault;
+    EXPECT_DEATH(run_centralized_sharded(n, inst.requests, dist, central, spec_of(2)),
+                 "topology faults");
+    PointerForwardingConfig fwd;
+    fwd.initial_owner = inst.requests.root();
+    fwd.fault = fault;
+    EXPECT_DEATH(run_pointer_forwarding_sharded(n, inst.requests, dist, fwd, spec_of(2)),
+                 "topology faults");
+    EXPECT_DEATH(run_pointer_forwarding_closed_loop_sharded(n, 3, dist, fwd, spec_of(2)),
+                 "topology faults");
+  }
+}
+
 // More shards than nodes: the partition clamps K to n (no empty lanes) and
 // the run still reproduces the serial pin.
 TEST(ShardedDeterminism, ShardCountExceedingNodesClamps) {
@@ -462,8 +576,8 @@ TEST(ShardedExperiment, RegistryRoutingAndValidation) {
         << topo.family_name();
   }
   {
-    // CLI "centralized" is always closed-loop; its reply loop has no
-    // sharded mirror, so shards > 1 stays a validation error there.
+    // CLI "centralized" is always closed-loop, which runs serially only
+    // (order-dependent Welford mean), so shards > 1 stays a validation error.
     Experiment e = base;
     e.topology = TopologySpec::complete(32);
     e.protocol = ProtocolSpec::centralized(0);
@@ -487,7 +601,7 @@ TEST(ShardedExperiment, RegistryRoutingAndValidation) {
   }
 }
 
-// Every mirror wired through Experiment::shards beyond the original
+// Every sharded driver wired through Experiment::shards beyond the original
 // arrow-closed-loop path: one-shot arrow, centralized one-shot (rounds = 0),
 // and pointer forwarding in both modes and both loop shapes. Each must be
 // field-by-field identical to its serial run at K in {2, 4}.

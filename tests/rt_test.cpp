@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -104,22 +105,32 @@ TEST(RtMailbox, MpscStressKeepsPerProducerOrder) {
     producers.emplace_back([&mbox, p] {
       for (std::uint64_t i = 0; i < kPerProducer; ++i) mbox.push((p << 32) | i);
     });
+  // Violations are recorded, not asserted, until the producers are joined:
+  // a failing ASSERT here would return with joinable threads and abort the
+  // whole binary instead of failing this test.
   std::uint64_t received = 0;
   std::uint64_t next_seq[kProducers] = {0, 0, 0, 0};
+  std::string first_violation;
   while (received < kProducers * kPerProducer) {
     std::uint64_t v;
     if (!mbox.try_pop(v)) {
       std::this_thread::yield();
       continue;
     }
+    ++received;
     const auto p = static_cast<std::size_t>(v >> 32);
     const std::uint64_t seq = v & 0xffffffffu;
-    ASSERT_LT(p, static_cast<std::size_t>(kProducers));
-    ASSERT_EQ(seq, next_seq[p]) << "producer " << p << " reordered";
-    ++next_seq[p];
-    ++received;
+    if (p >= static_cast<std::size_t>(kProducers)) {
+      if (first_violation.empty()) first_violation = "unknown producer " + std::to_string(p);
+      continue;
+    }
+    if (seq != next_seq[p] && first_violation.empty())
+      first_violation = "producer " + std::to_string(p) + " reordered: got " +
+                        std::to_string(seq) + ", expected " + std::to_string(next_seq[p]);
+    next_seq[p] = seq + 1;
   }
   for (std::thread& t : producers) t.join();
+  EXPECT_EQ(first_violation, "");
   std::uint64_t v;
   EXPECT_FALSE(mbox.try_pop(v));
 }
