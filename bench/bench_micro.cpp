@@ -4,10 +4,7 @@
 // at the paper's full 100000 requests/processor scale.
 #include <benchmark/benchmark.h>
 
-#include <queue>
-
 #include "arrow/arrow.hpp"
-#include "sim/pairing_heap.hpp"
 #include "arrow/closed_loop.hpp"
 #include "graph/generators.hpp"
 #include "graph/spanning_tree.hpp"
@@ -32,43 +29,6 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
-
-void BM_PairingHeapPushPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    PairingHeap<std::uint64_t> heap;
-    heap.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      heap.push({static_cast<Time>(mix64(i) % 100000), i}, i);
-    std::uint64_t sink = 0;
-    while (!heap.empty()) sink += heap.pop();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_PairingHeapPushPop)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
-
-void BM_BinaryHeapPushPop(benchmark::State& state) {
-  struct Item {
-    Time t;
-    std::uint64_t seq;
-    bool operator>(const Item& o) const { return t != o.t ? t > o.t : seq > o.seq; }
-  };
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-    for (std::size_t i = 0; i < n; ++i)
-      heap.push({static_cast<Time>(mix64(i) % 100000), i});
-    std::uint64_t sink = 0;
-    while (!heap.empty()) {
-      sink += heap.top().seq;
-      heap.pop();
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BinaryHeapPushPop)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_TreeDistanceQueries(benchmark::State& state) {
   Rng rng(1);

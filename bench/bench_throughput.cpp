@@ -5,19 +5,15 @@
 //
 //  1. event_core      — schedule N events at pseudo-random times, drain the
 //                       queue. Legacy priority_queue+std::function vs the
-//                       pooled arena over each queue implementation
-//                       (bucketed calendar, binary heap, 4-ary heap,
-//                       pairing heap).
+//                       pooled arena over the bucketed calendar queue.
 //  2. network         — sustained ping-pong message streams over star edges
-//                       with a serial service time, at three dispatch
-//                       levels: legacy, dynamic (std::function handler +
-//                       virtual sampler on the pooled core), and static
-//                       (typed handler + value sampler).
+//                       with a serial service time: legacy vs the pooled
+//                       core's static dispatch (typed handler + value
+//                       sampler).
 //  3. closed_loop     — the Figure 10 macro workload at n=1024 processors:
-//                       legacy driver replica, the dynamic-dispatch driver,
-//                       and the statically dispatched default. All three
-//                       must agree tick-for-tick on makespan and message
-//                       counts (asserted).
+//                       legacy driver replica vs the statically dispatched
+//                       driver. Both must agree tick-for-tick on makespan
+//                       and message counts (asserted).
 //  4. sweep_scaling   — a fixed scenario set through SweepRunner at 1, 2
 //                       and 4 threads; per-thread-count wall time and
 //                       speedup, plus the determinism cross-check.
@@ -176,14 +172,13 @@ struct Ping {
 };
 
 /// `chains` concurrent ping-pong streams between a star center and its
-/// leaves, `hops` messages per stream, with serial service time. Legacy
-/// core or pooled core with a std::function handler.
-template <typename Sim, template <typename> class NetT>
-std::uint64_t ping_pong_fn(NodeId chains, int hops) {
+/// leaves, `hops` messages per stream, with serial service time, on the
+/// legacy core.
+std::uint64_t ping_pong_legacy(NodeId chains, int hops) {
   Graph g = make_star(chains + 1);  // center 0, leaves 1..chains
-  Sim sim;
+  legacy::Simulator sim;
   SynchronousLatency lat;
-  NetT<Ping> net(g, sim, lat);
+  legacy::Network<Ping> net(g, sim, lat);
   net.set_service_time(kTicksPerUnit / 16);
   std::uint64_t handled = 0;
   net.set_handler([&](NodeId from, NodeId to, const Ping& p) {
@@ -461,49 +456,29 @@ int run(int argc, char** argv) {
   std::uint64_t sink = 0;
   double s_legacy =
       time_best(reps, [&] { sink += schedule_run_protocol<legacy::Simulator>(n_events); });
-  double s_bucket = time_best(
-      reps, [&] { sink += schedule_run_protocol<BasicSimulator<BucketedEventQueue>>(n_events); });
-  double s_bin = time_best(
-      reps, [&] { sink += schedule_run_protocol<BasicSimulator<BinaryEventQueue>>(n_events); });
-  double s_four = time_best(
-      reps, [&] { sink += schedule_run_protocol<BasicSimulator<FourAryEventQueue>>(n_events); });
-  double s_pair = time_best(
-      reps, [&] { sink += schedule_run_protocol<BasicSimulator<PairingEventQueue>>(n_events); });
+  double s_bucket =
+      time_best(reps, [&] { sink += schedule_run_protocol<Simulator>(n_events); });
   Rate ev_legacy = rate(s_legacy, static_cast<double>(n_events));
   Rate ev_bucket = rate(s_bucket, static_cast<double>(n_events));
-  Rate ev_bin = rate(s_bin, static_cast<double>(n_events));
-  Rate ev_four = rate(s_four, static_cast<double>(n_events));
-  Rate ev_pair = rate(s_pair, static_cast<double>(n_events));
   std::printf("event_core      n=%zu protocol-sized (40B captures)\n", n_events);
   std::printf("  legacy pq+function   %8.1f ns/event  %12.0f events/s\n", ev_legacy.ns_per_item,
               ev_legacy.per_sec);
   std::printf("  pooled bucketed      %8.1f ns/event  %12.0f events/s  (%.2fx)  [default]\n",
               ev_bucket.ns_per_item, ev_bucket.per_sec, s_legacy / s_bucket);
-  std::printf("  pooled binary heap   %8.1f ns/event  %12.0f events/s  (%.2fx)\n",
-              ev_bin.ns_per_item, ev_bin.per_sec, s_legacy / s_bin);
-  std::printf("  pooled 4-ary heap    %8.1f ns/event  %12.0f events/s  (%.2fx)\n",
-              ev_four.ns_per_item, ev_four.per_sec, s_legacy / s_four);
-  std::printf("  pooled pairing heap  %8.1f ns/event  %12.0f events/s  (%.2fx)\n",
-              ev_pair.ns_per_item, ev_pair.per_sec, s_legacy / s_pair);
 
   // 1b. Event core, tiny (8-byte) events — isolates queue mechanics (the
   // legacy std::function stays on its inline buffer here).
   double st_legacy =
       time_best(reps, [&] { sink += schedule_run_tiny<legacy::Simulator>(n_events); });
-  double st_bucket = time_best(
-      reps, [&] { sink += schedule_run_tiny<BasicSimulator<BucketedEventQueue>>(n_events); });
-  double st_bin = time_best(
-      reps, [&] { sink += schedule_run_tiny<BasicSimulator<BinaryEventQueue>>(n_events); });
+  double st_bucket =
+      time_best(reps, [&] { sink += schedule_run_tiny<Simulator>(n_events); });
   Rate evt_legacy = rate(st_legacy, static_cast<double>(n_events));
   Rate evt_bucket = rate(st_bucket, static_cast<double>(n_events));
-  Rate evt_bin = rate(st_bin, static_cast<double>(n_events));
   std::printf("event_core_tiny n=%zu (8B captures, no legacy allocation)\n", n_events);
   std::printf("  legacy pq+function   %8.1f ns/event  %12.0f events/s\n", evt_legacy.ns_per_item,
               evt_legacy.per_sec);
   std::printf("  pooled bucketed      %8.1f ns/event  %12.0f events/s  (%.2fx)  [default]\n",
               evt_bucket.ns_per_item, evt_bucket.per_sec, st_legacy / st_bucket);
-  std::printf("  pooled binary heap   %8.1f ns/event  %12.0f events/s  (%.2fx)\n",
-              evt_bin.ns_per_item, evt_bin.per_sec, st_legacy / st_bin);
 
   // 1c. Arena slot density: 16-byte (network DeliveryEvent-sized) captures
   // through the default 64-byte-slot arena vs the 32-byte-slot compact
@@ -520,28 +495,22 @@ int run(int argc, char** argv) {
   std::printf("  32B slots (compact)  %8.1f ns/event  %12.0f events/s  (%.2fx)\n",
               evc_compact.ns_per_item, evc_compact.per_sec, sc_default / sc_compact);
 
-  // 2. Network streams at the three dispatch levels.
+  // 2. Network streams: legacy vs static dispatch.
   const NodeId chains = 32;
   const int hops = quick ? 2000 : 20000;
   const double n_msgs = static_cast<double>(chains) * hops;
   std::uint64_t handled = 0;
-  double m_legacy = time_best(
-      reps, [&] { handled += ping_pong_fn<legacy::Simulator, legacy::Network>(chains, hops); });
-  double m_dynamic =
-      time_best(reps, [&] { handled += ping_pong_fn<Simulator, Network>(chains, hops); });
+  double m_legacy = time_best(reps, [&] { handled += ping_pong_legacy(chains, hops); });
   double m_static = time_best(reps, [&] { handled += ping_pong_static(chains, hops); });
   Rate net_legacy = rate(m_legacy, n_msgs);
-  Rate net_dynamic = rate(m_dynamic, n_msgs);
   Rate net_static = rate(m_static, n_msgs);
   std::printf("network         n=%.0f messages, 32 serviced ping-pong streams\n", n_msgs);
   std::printf("  legacy               %8.1f ns/msg    %12.0f msgs/s\n", net_legacy.ns_per_item,
               net_legacy.per_sec);
-  std::printf("  pooled dynamic       %8.1f ns/msg    %12.0f msgs/s  (%.2fx)\n",
-              net_dynamic.ns_per_item, net_dynamic.per_sec, m_legacy / m_dynamic);
   std::printf("  pooled static        %8.1f ns/msg    %12.0f msgs/s  (%.2fx)  [default]\n",
               net_static.ns_per_item, net_static.per_sec, m_legacy / m_static);
 
-  // 3. Figure 10 macro at n=1024: legacy vs dynamic dispatch vs static.
+  // 3. Figure 10 macro at n=1024: legacy vs static dispatch.
   const NodeId n_nodes = 1024;
   const std::int64_t reqs_per_node = quick ? 20 : 100;
   Graph g = make_complete(n_nodes);
@@ -550,29 +519,21 @@ int run(int argc, char** argv) {
   ClosedLoopConfig cfg;
   cfg.requests_per_node = reqs_per_node;
   cfg.service_time = kTicksPerUnit / 16;
-  ClosedLoopResult res_legacy{}, res_dynamic{}, res_static{};
+  ClosedLoopResult res_legacy{}, res_static{};
   double c_legacy = time_best(reps, [&] { res_legacy = run_closed_loop_legacy(t, sync, cfg); });
-  double c_dynamic =
-      time_best(reps, [&] { res_dynamic = run_arrow_closed_loop_dynamic(t, sync, cfg); });
   double c_static = time_best(reps, [&] { res_static = run_arrow_closed_loop(t, sync, cfg); });
   // The rewrites are supposed to be behavior-identical; the macro bench
-  // doubles as an end-to-end determinism check across all three cores.
-  ARROWDQ_ASSERT_MSG(res_legacy.makespan == res_dynamic.makespan &&
-                         res_legacy.makespan == res_static.makespan,
-                     "cores disagree on makespan");
-  ARROWDQ_ASSERT_MSG(res_legacy.tree_messages == res_dynamic.tree_messages &&
-                         res_legacy.tree_messages == res_static.tree_messages,
+  // doubles as an end-to-end determinism check across both cores.
+  ARROWDQ_ASSERT_MSG(res_legacy.makespan == res_static.makespan, "cores disagree on makespan");
+  ARROWDQ_ASSERT_MSG(res_legacy.tree_messages == res_static.tree_messages,
                      "cores disagree on tree messages");
-  ARROWDQ_ASSERT_MSG(res_legacy.notify_messages == res_dynamic.notify_messages &&
-                         res_legacy.notify_messages == res_static.notify_messages,
+  ARROWDQ_ASSERT_MSG(res_legacy.notify_messages == res_static.notify_messages,
                      "cores disagree on notify messages");
   const double n_reqs = static_cast<double>(res_static.total_requests);
   std::printf("closed_loop     n=%d procs, %lld reqs/proc (Figure 10 workload)\n", n_nodes,
               static_cast<long long>(reqs_per_node));
   std::printf("  legacy               %8.3f s        %12.0f reqs/s\n", c_legacy,
               n_reqs / c_legacy);
-  std::printf("  pooled dynamic       %8.3f s        %12.0f reqs/s  (%.2fx)\n", c_dynamic,
-              n_reqs / c_dynamic, c_legacy / c_dynamic);
   std::printf("  pooled static        %8.3f s        %12.0f reqs/s  (%.2fx)  [default]\n",
               c_static, n_reqs / c_static, c_legacy / c_static);
 
@@ -720,21 +681,9 @@ int run(int argc, char** argv) {
                "\"ns_per_event\": %.2f},\n"
                "    \"pooled_bucketed\": {\"seconds\": %.6f, \"events_per_sec\": %.0f, "
                "\"ns_per_event\": %.2f},\n"
-               "    \"pooled_binary_heap\": {\"seconds\": %.6f, \"events_per_sec\": %.0f, "
-               "\"ns_per_event\": %.2f},\n"
-               "    \"pooled_four_ary_heap\": {\"seconds\": %.6f, \"events_per_sec\": %.0f, "
-               "\"ns_per_event\": %.2f},\n"
-               "    \"pooled_pairing_heap\": {\"seconds\": %.6f, \"events_per_sec\": %.0f, "
-               "\"ns_per_event\": %.2f},\n"
-               "    \"speedup_bucketed_vs_legacy\": %.3f,\n"
-               "    \"speedup_binary_vs_legacy\": %.3f,\n"
-               "    \"speedup_four_ary_vs_legacy\": %.3f,\n"
-               "    \"speedup_pairing_vs_legacy\": %.3f\n  },\n",
+               "    \"speedup_bucketed_vs_legacy\": %.3f\n  },\n",
                n_events, ev_legacy.seconds, ev_legacy.per_sec, ev_legacy.ns_per_item,
-               ev_bucket.seconds, ev_bucket.per_sec, ev_bucket.ns_per_item, ev_bin.seconds,
-               ev_bin.per_sec, ev_bin.ns_per_item, ev_four.seconds, ev_four.per_sec,
-               ev_four.ns_per_item, ev_pair.seconds, ev_pair.per_sec, ev_pair.ns_per_item,
-               s_legacy / s_bucket, s_legacy / s_bin, s_legacy / s_four, s_legacy / s_pair);
+               ev_bucket.seconds, ev_bucket.per_sec, ev_bucket.ns_per_item, s_legacy / s_bucket);
   std::fprintf(f,
                "  \"event_core_tiny\": {\n"
                "    \"n_events\": %zu,\n"
@@ -743,13 +692,10 @@ int run(int argc, char** argv) {
                "\"ns_per_event\": %.2f},\n"
                "    \"pooled_bucketed\": {\"seconds\": %.6f, \"events_per_sec\": %.0f, "
                "\"ns_per_event\": %.2f},\n"
-               "    \"pooled_binary_heap\": {\"seconds\": %.6f, \"events_per_sec\": %.0f, "
-               "\"ns_per_event\": %.2f},\n"
-               "    \"speedup_bucketed_vs_legacy\": %.3f,\n"
-               "    \"speedup_binary_vs_legacy\": %.3f\n  },\n",
+               "    \"speedup_bucketed_vs_legacy\": %.3f\n  },\n",
                n_events, evt_legacy.seconds, evt_legacy.per_sec, evt_legacy.ns_per_item,
-               evt_bucket.seconds, evt_bucket.per_sec, evt_bucket.ns_per_item, evt_bin.seconds,
-               evt_bin.per_sec, evt_bin.ns_per_item, st_legacy / st_bucket, st_legacy / st_bin);
+               evt_bucket.seconds, evt_bucket.per_sec, evt_bucket.ns_per_item,
+               st_legacy / st_bucket);
   std::fprintf(f,
                "  \"event_core_compact\": {\n"
                "    \"n_events\": %zu,\n"
@@ -767,31 +713,22 @@ int run(int argc, char** argv) {
                "    \"n_messages\": %.0f,\n"
                "    \"legacy\": {\"seconds\": %.6f, \"messages_per_sec\": %.0f, \"ns_per_message\": "
                "%.2f},\n"
-               "    \"dynamic\": {\"seconds\": %.6f, \"messages_per_sec\": %.0f, "
-               "\"ns_per_message\": %.2f},\n"
                "    \"static\": {\"seconds\": %.6f, \"messages_per_sec\": %.0f, "
                "\"ns_per_message\": %.2f},\n"
-               "    \"speedup_dynamic_vs_legacy\": %.3f,\n"
-               "    \"speedup_static_vs_legacy\": %.3f,\n"
-               "    \"speedup_static_vs_dynamic\": %.3f\n  },\n",
+               "    \"speedup_static_vs_legacy\": %.3f\n  },\n",
                n_msgs, net_legacy.seconds, net_legacy.per_sec, net_legacy.ns_per_item,
-               net_dynamic.seconds, net_dynamic.per_sec, net_dynamic.ns_per_item,
                net_static.seconds, net_static.per_sec, net_static.ns_per_item,
-               m_legacy / m_dynamic, m_legacy / m_static, m_dynamic / m_static);
+               m_legacy / m_static);
   std::fprintf(f,
                "  \"closed_loop_fig10\": {\n"
                "    \"nodes\": %d,\n"
                "    \"requests_per_node\": %lld,\n"
                "    \"legacy\": {\"seconds\": %.6f, \"requests_per_sec\": %.0f},\n"
-               "    \"dynamic\": {\"seconds\": %.6f, \"requests_per_sec\": %.0f},\n"
                "    \"static\": {\"seconds\": %.6f, \"requests_per_sec\": %.0f},\n"
-               "    \"speedup_dynamic_vs_legacy\": %.3f,\n"
                "    \"speedup_static_vs_legacy\": %.3f,\n"
-               "    \"speedup_static_vs_dynamic\": %.3f,\n"
                "    \"results_identical\": true\n  },\n",
                n_nodes, static_cast<long long>(reqs_per_node), c_legacy, n_reqs / c_legacy,
-               c_dynamic, n_reqs / c_dynamic, c_static, n_reqs / c_static, c_legacy / c_dynamic,
-               c_legacy / c_static, c_dynamic / c_static);
+               c_static, n_reqs / c_static, c_legacy / c_static);
   std::fprintf(f,
                "  \"bench_runtime\": {\n"
                "    \"nodes\": %d,\n"

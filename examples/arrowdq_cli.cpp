@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,28 +52,47 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return parts;
 }
 
+/// Exit through usage() unless `ok`: bad sizes and rates are diagnostics,
+/// never assertions inside the generators.
+void require(bool ok, const char* msg) {
+  if (!ok) usage(msg);
+}
+
+/// A graph size: a node count, or one grid/torus dimension.
+NodeId parse_size(const std::string& s) {
+  const long v = std::atol(s.c_str());
+  require(v >= 1 && v <= std::numeric_limits<NodeId>::max(), "graph sizes must be >= 1");
+  return static_cast<NodeId>(v);
+}
+
 Graph parse_graph(const std::string& spec, Rng& rng) {
   auto p = split(spec, ':');
   const std::string& kind = p[0];
-  auto arg = [&](std::size_t i) -> long {
+  auto arg = [&](std::size_t i) -> NodeId {
     if (i >= p.size()) usage("missing graph parameter");
-    return std::atol(p[i].c_str());
+    return parse_size(p[i]);
   };
-  if (kind == "path") return make_path(static_cast<NodeId>(arg(1)));
-  if (kind == "ring") return make_ring(static_cast<NodeId>(arg(1)));
-  if (kind == "complete") return make_complete(static_cast<NodeId>(arg(1)));
-  if (kind == "star") return make_star(static_cast<NodeId>(arg(1)));
-  if (kind == "randtree") return make_random_tree(static_cast<NodeId>(arg(1)), rng);
+  if (kind == "path") return make_path(arg(1));
+  if (kind == "ring") {
+    const NodeId n = arg(1);
+    require(n >= 3, "ring needs >= 3 nodes");
+    return make_ring(n);
+  }
+  if (kind == "complete") return make_complete(arg(1));
+  if (kind == "star") return make_star(arg(1));
+  if (kind == "randtree") return make_random_tree(arg(1), rng);
   if (kind == "grid" || kind == "torus") {
     auto rc = split(p.size() > 1 ? p[1] : "", 'x');
     if (rc.size() != 2) usage("grid/torus need RxC");
-    auto r = static_cast<NodeId>(std::atol(rc[0].c_str()));
-    auto c = static_cast<NodeId>(std::atol(rc[1].c_str()));
-    return kind == "grid" ? make_grid(r, c) : make_torus(r, c);
+    const NodeId r = parse_size(rc[0]);
+    const NodeId c = parse_size(rc[1]);
+    if (kind == "grid") return make_grid(r, c);
+    require(r >= 3 && c >= 3, "torus dims must be >= 3");
+    return make_torus(r, c);
   }
   if (kind == "geometric") {
     if (p.size() < 3) usage("geometric:N:RADIUS");
-    return make_random_geometric(static_cast<NodeId>(arg(1)), std::atof(p[2].c_str()), rng);
+    return make_random_geometric(arg(1), std::atof(p[2].c_str()), rng);
   }
   usage("unknown graph kind");
 }
@@ -91,22 +111,35 @@ RequestSet parse_load(const std::string& spec, NodeId n, NodeId root, Rng& rng) 
   const std::string& kind = p[0];
   auto iarg = [&](std::size_t i) -> long {
     if (i >= p.size()) usage("missing load parameter");
-    return std::atol(p[i].c_str());
+    const long v = std::atol(p[i].c_str());
+    require(v >= 0 && v <= std::numeric_limits<int>::max(), "load counts and gaps must be >= 0");
+    return v;
   };
   auto farg = [&](std::size_t i) -> double {
     if (i >= p.size()) usage("missing load parameter");
     return std::atof(p[i].c_str());
   };
+  auto rate = [&](std::size_t i) -> double {
+    const double r = farg(i);
+    require(r > 0.0, "load rate must be > 0");
+    return r;
+  };
   if (kind == "oneshot") return one_shot_all(n, root);
   if (kind == "poisson")
-    return poisson_uniform(n, root, static_cast<int>(iarg(1)), farg(2), rng);
+    return poisson_uniform(n, root, static_cast<int>(iarg(1)), rate(2), rng);
   if (kind == "bursty")
     return bursty(n, root, static_cast<int>(iarg(1)), static_cast<int>(iarg(2)), iarg(3), rng);
   if (kind == "sequential")
     return sequential_random(n, root, static_cast<int>(iarg(1)), iarg(2), rng);
-  if (kind == "hotspot")
-    return poisson_hotspot(n, root, static_cast<int>(iarg(1)), farg(2),
-                           static_cast<NodeId>(iarg(3)), farg(4), rng);
+  if (kind == "hotspot") {
+    const int count = static_cast<int>(iarg(1));
+    const double r = rate(2);
+    const long node = iarg(3);
+    const double prob = farg(4);
+    require(node < n, "hotspot node must be a node of the graph");
+    require(prob >= 0.0 && prob <= 1.0, "hotspot probability must be in [0, 1]");
+    return poisson_hotspot(n, root, count, r, static_cast<NodeId>(node), prob, rng);
+  }
   usage("unknown load kind");
 }
 
@@ -168,6 +201,7 @@ int main(int argc, char** argv) {
   e.workload = WorkloadSpec::fixed(reqs);
   e.latency = parse_model(model_spec, seed);
   e.keep_outcome = true;
+  if (auto err = validate_experiment(e)) usage(err->c_str());
   RunResult result = run_experiment(e);
   const QueuingOutcome& out = *result.outcome;
 

@@ -13,17 +13,19 @@ scenario count must match — no performance thresholds.
 Every gated metric is a throughput number *normalized by a same-run,
 same-section reference* (the bench runs the pre-rewrite legacy core in the
 same binary), so the comparison is a speedup ratio and systematic machine
-differences between the baseline host and the CI runner cancel out. The
-40-byte event-core rows normalize by the tiny *pooled bucketed* reference —
-the fully allocation-free default path, the steadiest loop in the binary —
-rather than any legacy std::function run: even the tiny legacy reference
-keeps a virtual dispatch per event whose branch-predictor sensitivity
-showed up as extra cross-run drift. With the steadier reference those rows
-run at a tightened 15% tolerance (per-row, see RATIOS); the legacy speedup
-claim itself survives as the tiny-pooled-vs-tiny-legacy row at the default
-20%. Only ratios computable in *both* files are compared (schema additions
-never break the gate); a metric fails when its fresh speedup drops below
-(1 - tolerance) x its baseline speedup.
+differences between the baseline host and the CI runner cancel out. There
+is one event queue and one dispatch tier, so each section gates the pooled
+static path against its reference; no alternate-queue or dynamic-dispatch
+rows remain. The 40-byte event-core row normalizes by the tiny *pooled
+bucketed* reference — the fully allocation-free path, the steadiest loop in
+the binary — rather than any legacy std::function run: even the tiny legacy
+reference keeps a virtual dispatch per event whose branch-predictor
+sensitivity showed up as extra cross-run drift. With the steadier reference
+that row runs at a tightened 15% tolerance (per-row, see RATIOS); the legacy
+speedup claim itself survives as the tiny-pooled-vs-tiny-legacy row at the
+default 20%. Only ratios computable in *both* files are compared (schema
+additions never break the gate); a metric fails when its fresh speedup drops
+below (1 - tolerance) x its baseline speedup.
 
 When both files carry a fig10_scale section (the implicit-topology scale
 tier), the fresh one is additionally schema-checked and each cell's
@@ -55,7 +57,7 @@ TINY_REF = "event_core_tiny.legacy_priority_queue.events_per_sec"
 # default engine path — no allocation, no std::function dispatch, a pure
 # arena + bucket loop. Measured cross-run drift is roughly half the tiny
 # legacy reference's (the virtual call per event is branch-predictor
-# sensitive), so rows normalized by it run at a tighter tolerance.
+# sensitive), so the row normalized by it runs at a tighter tolerance.
 STEADY_REF = "event_core_tiny.pooled_bucketed.events_per_sec"
 
 # (metric path, same-run reference path, human label, tolerance override).
@@ -70,8 +72,6 @@ STEADY_REF = "event_core_tiny.pooled_bucketed.events_per_sec"
 RATIOS = [
     ("event_core.pooled_bucketed.events_per_sec", STEADY_REF,
      "event core (bucketed, default)", 0.15),
-    ("event_core.pooled_binary_heap.events_per_sec", STEADY_REF,
-     "event core (binary heap)", 0.15),
     ("event_core_tiny.pooled_bucketed.events_per_sec", TINY_REF,
      "tiny event core (bucketed vs legacy)", None),
     ("event_core_compact.slot_32b_compact.events_per_sec",
@@ -79,14 +79,9 @@ RATIOS = [
      "compact event core (32B vs 64B slots)", None),
     ("network.static.messages_per_sec", "network.legacy.messages_per_sec",
      "network static dispatch", None),
-    ("network.dynamic.messages_per_sec", "network.legacy.messages_per_sec",
-     "network dynamic dispatch", None),
     ("closed_loop_fig10.static.requests_per_sec",
      "closed_loop_fig10.legacy.requests_per_sec",
      "Figure 10 macro (static, default)", None),
-    ("closed_loop_fig10.dynamic.requests_per_sec",
-     "closed_loop_fig10.legacy.requests_per_sec",
-     "Figure 10 macro (dynamic)", None),
     ("sweep_scaling.threads_1.requests_per_sec",
      "closed_loop_fig10.legacy.requests_per_sec",
      "sweep @1 thread", None),

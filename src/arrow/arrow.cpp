@@ -9,13 +9,13 @@ namespace arrowdq {
 ArrowEngine::ArrowEngine(const Tree& tree, LatencyModel& latency)
     : tree_(tree), latency_(latency), tree_graph_(tree.as_graph()) {}
 
-template <typename On, typename Latency, typename Faults>
+template <typename Latency, typename Faults>
 QueuingOutcome ArrowEngine::run_with(Latency latency, Faults faults,
                                      const RequestSet& requests) {
   QueuingOutcome out(requests.size());
-  detail::ArrowOneShotDriver<Latency, Faults, On> driver(tree_, tree_graph_, std::move(latency),
-                                                         std::move(faults), service_time_,
-                                                         requests, fault_, out);
+  detail::ArrowOneShotDriver<Latency, Faults, OnSerial> driver(
+      tree_, tree_graph_, std::move(latency), std::move(faults), service_time_, requests, fault_,
+      out);
   driver.run(requests);
   link_ = std::move(driver.links());
   sim_ = std::move(driver.engine().sim());  // keeps the run's clock for sim()
@@ -32,14 +32,8 @@ QueuingOutcome ArrowEngine::run_with(Latency latency, Faults faults,
 QueuingOutcome ArrowEngine::run(const RequestSet& requests) {
   return with_static_latency(latency_, [&](auto lat) {
     return with_fault_filter(fault_, tree_.node_count(), [&](auto filt) {
-      return run_with<OnSerial>(std::move(lat), std::move(filt), requests);
+      return run_with(std::move(lat), std::move(filt), requests);
     });
-  });
-}
-
-QueuingOutcome ArrowEngine::run_dynamic(const RequestSet& requests) {
-  return with_fault_filter(fault_, tree_.node_count(), [&](auto filt) {
-    return run_with<OnSerialDynamic>(VirtualSampler{latency_}, std::move(filt), requests);
   });
 }
 

@@ -72,11 +72,6 @@ class ArrowEngine {
   /// devirtualized once per run and the network handler is a typed callable.
   QueuingOutcome run(const RequestSet& requests);
 
-  /// The same protocol forced onto the dynamically dispatched path (virtual
-  /// latency sampling + std::function handler). Tick-identical to run() by
-  /// construction; kept as the benchmark/test reference.
-  QueuingOutcome run_dynamic(const RequestSet& requests);
-
   /// Post-run pointer state (index = node, value = link target).
   const std::vector<NodeId>& links() const { return link_; }
   /// Post-run node that is the unique sink (the queue's tail location).
@@ -97,9 +92,9 @@ class ArrowEngine {
   std::int32_t reselections() const { return reselections_; }
 
  private:
-  /// Run the one-shot driver on a serial engine selector and keep its
-  /// post-run state.
-  template <typename On, typename Latency, typename Faults>
+  /// Run the one-shot driver on the serial engine and keep its post-run
+  /// state.
+  template <typename Latency, typename Faults>
   QueuingOutcome run_with(Latency latency, Faults faults, const RequestSet& requests);
 
   const Tree& tree_;

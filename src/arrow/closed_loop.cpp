@@ -26,14 +26,4 @@ ClosedLoopResult run_arrow_closed_loop_implicit(const ImplicitTopology& topo,
   return detail::run_arrow_loop(ImplicitLoopTopo{topo}, latency, config, OnSerial{});
 }
 
-ClosedLoopResult run_arrow_closed_loop_dynamic(const Tree& tree, LatencyModel& latency,
-                                               const ClosedLoopConfig& config) {
-  ARROWDQ_ASSERT_MSG(config.requests_per_node >= 0, "requests_per_node must be >= 0");
-  return with_fault_filter(config.fault, tree.node_count(), [&](auto filt) {
-    detail::ArrowLoopDriver<VirtualSampler, decltype(filt), MaterializedTopo, OnSerialDynamic>
-        driver(MaterializedTopo{&tree}, VirtualSampler{latency}, std::move(filt), config);
-    return driver.run();
-  });
-}
-
 }  // namespace arrowdq

@@ -70,13 +70,6 @@ struct ClosedLoopResult {
 ClosedLoopResult run_arrow_closed_loop(const Tree& tree, LatencyModel& latency,
                                        const ClosedLoopConfig& config);
 
-/// The same driver forced onto the dynamically dispatched path (virtual
-/// latency sampling + std::function handler). Tick-identical to
-/// run_arrow_closed_loop by construction; kept as the benchmark/test
-/// reference for the static-dispatch speedup.
-ClosedLoopResult run_arrow_closed_loop_dynamic(const Tree& tree, LatencyModel& latency,
-                                               const ClosedLoopConfig& config);
-
 /// The scale path: the same closed-loop driver on an implicit topology
 /// (graph/implicit.hpp) — tree parents computed in closed form, network edge
 /// ids derived on the fly, CompactSimulator's 32-byte event slots, 32-bit

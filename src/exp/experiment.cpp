@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -740,6 +741,15 @@ Resolved resolve(const Experiment& e) {
 
 std::optional<std::string> validate_experiment(const Experiment& e) {
   if (auto err = e.topology.validate()) return err;
+  // The scaled fraction, the uniform minimum fraction and the truncated-exp
+  // mean fraction are all shares of the synchronous latency.
+  if (e.latency.kind != LatencySpec::Kind::kSynchronous &&
+      !(e.latency.param > 0.0 && e.latency.param <= 1.0)) {
+    char msg[96];
+    std::snprintf(msg, sizeof msg, "latency %s: fraction %g must be in (0, 1]",
+                  e.latency.name(), e.latency.param);
+    return std::string(msg);
+  }
   const TopologySpec& t = e.topology;
   const exp_detail::ResolvePlan plan = exp_detail::plan_resolve(e);
   if (plan.materialize) {

@@ -39,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -153,15 +152,6 @@ struct OnSerial {
            const FaultSpec& /*fault*/) const {
     return Eng(index, std::move(latency), std::move(faults));
   }
-};
-
-/// OnSerial with the handler behind a std::function: the dynamically
-/// dispatched reference tier (run_dynamic, run_arrow_closed_loop_dynamic).
-struct OnSerialDynamic : OnSerial {
-  template <typename M, typename Latency, typename Handler, typename Faults, typename Index,
-            typename Sim>
-  using Engine = SerialNetSim<M, Latency, std::function<void(NodeId, NodeId, const M&)>,
-                              Faults, Index, Sim>;
 };
 
 /// Per-lane driver counters.

@@ -1,41 +1,27 @@
-// Event queues for the simulator: 16-byte (time, seq|slot) handles ordered
-// by (time, seq), with the event payload living in the simulator's arena.
+// The simulator's event queue: 16-byte (time, seq|slot) handles ordered by
+// (time, seq), with the event payload living in the simulator's arena.
 //
-// Four interchangeable implementations (BasicSimulator is templated on
-// the queue):
-//  * BucketedEventQueue — calendar-style: a binary min-heap over *distinct*
-//    pending times plus a FIFO bucket per time. Discrete-event protocol
-//    workloads are massively tie-heavy (service times and unit latencies
-//    quantize every timestamp; the Figure 10 macro averages dozens of
-//    events per instant), so per-event cost collapses to a hash probe and
-//    a vector append, and the log-cost heap operation is paid once per
-//    *instant* instead of once per event. Requires monotonically increasing
-//    sequence numbers across pushes (BasicSimulator guarantees this); the
-//    bucket append order then realizes the exact (time, seq) order.
-//  * BinaryEventQueue — implicit binary min-heap via std::push_heap /
-//    std::pop_heap, whose sift-to-a-leaf-then-bubble-up pop does ~1
-//    comparison per level instead of testing "does the displaced element
-//    fit here" at every level.
-//  * FourAryEventQueue — implicit 4-ary min-heap; half the levels of the
-//    binary heap, but 3 child comparisons per level.
-//  * PairingEventQueue — adapter over PairingHeap for O(1) amortized
-//    insert under bursty schedules.
+// BucketedEventQueue is calendar-style: a binary min-heap over *distinct*
+// pending times plus a FIFO bucket per time. Discrete-event protocol
+// workloads are tie-heavy (service times and unit latencies quantize every
+// timestamp; the Figure 10 closed loop averages dozens of events per
+// instant), so per-event cost collapses to a hash probe and a vector append,
+// and the log-cost heap operation is paid once per *instant* instead of once
+// per event. It requires monotonically increasing sequence numbers across
+// pushes into one time bucket (BasicSimulator guarantees this); the bucket
+// append order then realizes the exact (time, seq) order.
 //
-// bench_throughput measures all of them on a schedule-then-drain burst, on
-// steady-state churn, and end-to-end on the Figure 10 macro. The bucketed
-// queue wins the tie-heavy protocol workloads outright and stays within
-// noise of the binary heap on the all-distinct-times microbenchmark, so it
-// is the default Simulator; the binary heap remains the strongest general
-// comparison-heap alternate.
+// It is the only queue: comparison heaps lost to it even on near-distinct
+// timestamps. On perfbench's fig10_async (exp:0.3 latency), a binary-heap
+// build ran at a median 0.70M queue ops/s against 1.35M for this queue and
+// lost all 10 alternating pairs (4-vCPU shared container).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
 
-#include "sim/pairing_heap.hpp"
 #include "support/assert.hpp"
 #include "support/random.hpp"
 #include "support/types.hpp"
@@ -43,10 +29,8 @@
 namespace arrowdq {
 
 /// A scheduled-event handle. The schedule sequence number and the payload's
-/// arena slot share one word: slot in the low kSlotBits, seq above. Since
-/// sequence numbers are unique, ordering by the packed word equals ordering
-/// by seq whenever times tie — so a 16-byte entry still realizes the exact
-/// deterministic (time, seq) order.
+/// arena slot share one word: slot in the low kSlotBits, seq above, so the
+/// entry stays 16 bytes.
 struct EventEntry {
   /// Capacity split of the packed word: at most 2^28-1 (~268M) events may
   /// be *concurrently pending* (the implicit scale tier keeps ~1.25n
@@ -65,110 +49,11 @@ struct EventEntry {
     return {t, (seq << kSlotBits) | slot};
   }
   std::uint32_t slot() const { return static_cast<std::uint32_t>(seq_slot & kSlotMask); }
-
-  friend bool operator<(const EventEntry& a, const EventEntry& b) {
-    return a.t != b.t ? a.t < b.t : a.seq_slot < b.seq_slot;
-  }
-};
-
-class BinaryEventQueue {
- public:
-  bool empty() const { return v_.empty(); }
-  std::size_t size() const { return v_.size(); }
-  void reserve(std::size_t n) { v_.reserve(n); }
-  void clear() { v_.clear(); }
-
-  Time top_time() const {
-    ARROWDQ_ASSERT(!v_.empty());
-    return v_[0].t;
-  }
-
-  void push(EventEntry e) {
-    v_.push_back(e);
-    std::push_heap(v_.begin(), v_.end(), Later{});
-  }
-
-  EventEntry pop() {
-    ARROWDQ_ASSERT(!v_.empty());
-    std::pop_heap(v_.begin(), v_.end(), Later{});
-    EventEntry e = v_.back();
-    v_.pop_back();
-    return e;
-  }
-
-  /// Batch drain: append every entry whose time equals top_time() to `out`
-  /// in (time, seq) order. In an implicit min-heap the minimal-time entries
-  /// form an *up-closed* subtree containing the root (any ancestor of a
-  /// minimal entry is itself minimal), so instead of paying a full
-  /// sift-from-the-root per entry we collect that subtree in one DFS, sort
-  /// the run by sequence, and refill the holes deepest-first with one plain
-  /// sift-down each. For the degenerate whole-heap run (the t=0 issue burst)
-  /// every refill hits the trailing-hole fast path and the drain is one DFS
-  /// plus one sort.
-  void pop_run(std::vector<EventEntry>& out) {
-    ARROWDQ_ASSERT(!v_.empty());
-    const Time t = v_[0].t;
-    const bool left = v_.size() > 1 && v_[1].t == t;
-    const bool right = v_.size() > 2 && v_[2].t == t;
-    if (!left && !right) {  // run of one: a normal pop
-      out.push_back(pop());
-      return;
-    }
-    const std::size_t base = out.size();
-    // BFS over the subtree: parents are processed in increasing index
-    // order, and children 2i+1, 2i+2 grow monotonically with i, so holes_
-    // comes out sorted ascending without an explicit sort.
-    holes_.clear();
-    holes_.push_back(0);
-    for (std::size_t j = 0; j < holes_.size(); ++j) {
-      const std::uint32_t i = holes_[j];
-      out.push_back(v_[i]);
-      const std::size_t c = 2 * static_cast<std::size_t>(i) + 1;
-      if (c < v_.size() && v_[c].t == t) holes_.push_back(static_cast<std::uint32_t>(c));
-      if (c + 1 < v_.size() && v_[c + 1].t == t)
-        holes_.push_back(static_cast<std::uint32_t>(c + 1));
-    }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end());
-    // Deepest-first refill: when hole h is filled, every deeper hole is
-    // already valid, so sifting the moved leaf down from h restores the
-    // heap there; the root (processed last) gets the one full sift-down.
-    for (std::size_t j = holes_.size(); j-- > 0;) {
-      const std::uint32_t h = holes_[j];
-      const EventEntry x = v_.back();
-      v_.pop_back();
-      if (h >= v_.size()) continue;  // the hole was the last element itself
-      sift_down(h, x);
-    }
-  }
-
- private:
-  struct Later {
-    bool operator()(const EventEntry& a, const EventEntry& b) const { return b < a; }
-  };
-
-  void sift_down(std::size_t i, EventEntry x) {
-    const std::size_t n = v_.size();
-    for (;;) {
-      std::size_t c = 2 * i + 1;
-      if (c >= n) break;
-      if (c + 1 < n && v_[c + 1] < v_[c]) ++c;
-      if (!(v_[c] < x)) break;
-      v_[i] = v_[c];
-      i = c;
-    }
-    v_[i] = x;
-  }
-
-  std::vector<EventEntry> v_;
-  // BFS / hole scratch, kept across calls so steady-state drains allocate
-  // nothing.
-  std::vector<std::uint32_t> holes_;
 };
 
 /// Calendar-style tie-bucketing queue: a binary min-heap over the distinct
 /// pending times, a FIFO bucket of entries per time, and an open-addressed
-/// (tombstone-compacting) time→bucket map. See the header comment for why
-/// this is the default. Precondition: seq|slot values are pushed in
+/// (tombstone-compacting) time→bucket map. Precondition: seq|slot values are pushed in
 /// increasing seq order (BasicSimulator's schedule counter guarantees it),
 /// which makes bucket append order the exact (time, seq) order.
 class BucketedEventQueue {
@@ -373,99 +258,6 @@ class BucketedEventQueue {
   std::size_t map_live_ = 0;
   std::size_t map_dirty_ = 0;
   std::size_t size_ = 0;
-};
-
-class FourAryEventQueue {
- public:
-  bool empty() const { return v_.empty(); }
-  std::size_t size() const { return v_.size(); }
-  void reserve(std::size_t n) { v_.reserve(n); }
-  void clear() { v_.clear(); }
-
-  Time top_time() const {
-    ARROWDQ_ASSERT(!v_.empty());
-    return v_[0].t;
-  }
-
-  void push(EventEntry e) {
-    std::size_t i = v_.size();
-    v_.push_back(e);
-    while (i > 0) {
-      std::size_t parent = (i - 1) >> 2;
-      if (!(e < v_[parent])) break;
-      v_[i] = v_[parent];
-      i = parent;
-    }
-    v_[i] = e;
-  }
-
-  EventEntry pop() {
-    ARROWDQ_ASSERT(!v_.empty());
-    EventEntry out = v_[0];
-    EventEntry last = v_.back();
-    v_.pop_back();
-    if (!v_.empty()) {
-      std::size_t i = 0;
-      const std::size_t n = v_.size();
-      for (;;) {
-        std::size_t first_child = (i << 2) + 1;
-        if (first_child >= n) break;
-        std::size_t best = first_child;
-        std::size_t end = first_child + 4 < n ? first_child + 4 : n;
-        for (std::size_t c = first_child + 1; c < end; ++c)
-          if (v_[c] < v_[best]) best = c;
-        if (!(v_[best] < last)) break;
-        v_[i] = v_[best];
-        i = best;
-      }
-      v_[i] = last;
-    }
-    return out;
-  }
-
-  /// Batch drain; see BinaryEventQueue::pop_run. The 4-ary layout gets the
-  /// generic pop loop — it is the bake-off alternate, not the default.
-  void pop_run(std::vector<EventEntry>& out) {
-    ARROWDQ_ASSERT(!v_.empty());
-    const Time t = v_[0].t;
-    do {
-      out.push_back(pop());
-    } while (!v_.empty() && v_[0].t == t);
-  }
-
- private:
-  std::vector<EventEntry> v_;
-};
-
-class PairingEventQueue {
- public:
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-  void reserve(std::size_t n) { heap_.reserve(n); }
-  void clear() { heap_.clear(); }
-
-  Time top_time() const { return heap_.top_key().t; }
-
-  void push(EventEntry e) { heap_.push({e.t, e.seq_slot}, e.slot()); }
-
-  EventEntry pop() {
-    auto key = heap_.top_key();
-    EventEntry e{key.t, key.seq};
-    heap_.pop();
-    return e;
-  }
-
-  /// Batch drain; see BinaryEventQueue::pop_run.
-  void pop_run(std::vector<EventEntry>& out) {
-    ARROWDQ_ASSERT(!heap_.empty());
-    const Time t = heap_.top_key().t;
-    do {
-      out.push_back(pop());
-    } while (!heap_.empty() && heap_.top_key().t == t);
-  }
-
- private:
-  PairingHeap<std::uint32_t> heap_;
 };
 
 }  // namespace arrowdq

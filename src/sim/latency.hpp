@@ -6,15 +6,14 @@
 // we provide randomized models whose per-message delay is uniform or
 // heavy-tailed within (0, 1] units per unit of edge weight.
 //
-// Two-tier design: the *samplers* (SyncSampler, ScaledSampler, UniformSampler,
-// TruncExpSampler) are concrete value types with an inline `operator()` — the
-// statically dispatched hot path the Network templates over, with no vtable
-// between a send and its latency draw. The classic `LatencyModel` hierarchy
-// survives as a thin adapter over the samplers for call sites that need
-// runtime polymorphism (configuration, ownership via unique_ptr, bench
-// tables); `with_static_latency` bridges the two, dispatching *once per run*
-// from a dynamic model to its concrete sampler so the per-message loop never
-// sees the vtable again.
+// The *samplers* (SyncSampler, ScaledSampler, UniformSampler,
+// TruncExpSampler) are concrete value types with an inline `operator()`; the
+// Network templates over them, so no vtable sits between a send and its
+// latency draw. `LatencyModel` is the configuration handle callers own (via
+// unique_ptr, LatencySpec::make): a sealed hierarchy of exactly four final
+// adapters, one per sampler. `with_static_latency` turns a model into its
+// concrete sampler *once per run*; every driver is instantiated for those
+// four sampler types and nothing else.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "support/assert.hpp"
 #include "support/random.hpp"
 #include "support/types.hpp"
 
@@ -92,9 +92,11 @@ struct SamplerRef {
 };
 
 // ---------------------------------------------------------------------------
-// Dynamic tier: the LatencyModel hierarchy, now a thin adapter.
+// LatencyModel: the owning configuration handle over the samplers.
 // ---------------------------------------------------------------------------
 
+/// Sealed: the private constructor admits exactly the four final models
+/// below, so with_static_latency covers every model there can be.
 class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
@@ -105,19 +107,13 @@ class LatencyModel {
 
   /// A human-readable name for benchmark output.
   virtual const char* name() const = 0;
-};
 
-/// Fallback sampler for unknown LatencyModel subclasses: pays the vtable on
-/// every draw. Implicitly constructible from a model reference so legacy
-/// `Network<M>(graph, sim, model)` call sites keep compiling unchanged.
-struct VirtualSampler {
-  LatencyModel* model = nullptr;
-  VirtualSampler() = default;
-  VirtualSampler(LatencyModel& m) : model(&m) {}  // NOLINT(google-explicit-constructor)
-  Time operator()(NodeId from, NodeId to, Weight weight) {
-    return model->sample(from, to, weight);
-  }
-  const char* name() const { return model->name(); }
+ private:
+  LatencyModel() = default;
+  friend class SynchronousLatency;
+  friend class ScaledLatency;
+  friend class UniformAsyncLatency;
+  friend class TruncatedExpLatency;
 };
 
 class SynchronousLatency final : public LatencyModel {
@@ -169,19 +165,19 @@ std::unique_ptr<LatencyModel> make_uniform_async(std::uint64_t seed, double min_
 std::unique_ptr<LatencyModel> make_truncated_exp(std::uint64_t seed, double mean_fraction = 0.3);
 
 /// One-time static dispatch: invoke `fn` with the concrete sampler behind
-/// `model` (state shared with the model, stateless kinds passed by value),
-/// or with a VirtualSampler for subclasses this header does not know. The
-/// cost of the dynamic_cast chain is paid once per *run*, not per message —
-/// callers templated on the sampler type then sample with a direct call.
+/// `model` (state shared with the model, stateless kinds passed by value).
+/// The cost of the dynamic_cast chain is paid once per *run*, not per
+/// message — callers templated on the sampler type then sample with a
+/// direct call.
 template <typename Fn>
 decltype(auto) with_static_latency(LatencyModel& model, Fn&& fn) {
   if (auto* p = dynamic_cast<SynchronousLatency*>(&model)) return fn(p->sampler());
   if (auto* p = dynamic_cast<ScaledLatency*>(&model)) return fn(p->sampler());
   if (auto* p = dynamic_cast<UniformAsyncLatency*>(&model))
     return fn(SamplerRef<UniformSampler>{&p->sampler()});
-  if (auto* p = dynamic_cast<TruncatedExpLatency*>(&model))
-    return fn(SamplerRef<TruncExpSampler>{&p->sampler()});
-  return fn(VirtualSampler{model});
+  auto* p = dynamic_cast<TruncatedExpLatency*>(&model);
+  ARROWDQ_ASSERT_MSG(p != nullptr, "LatencyModel is sealed to the four models above");
+  return fn(SamplerRef<TruncExpSampler>{&p->sampler()});
 }
 
 }  // namespace arrowdq

@@ -20,16 +20,14 @@
 // O(1)).
 //
 // Static dispatch: the network is templated on the latency sampler, the
-// handler, and the fault filter. On the default path the protocol drivers
-// instantiate `Network<M, ConcreteSampler, TypedHandlerStruct>`, so a send
-// samples its latency with an inlinable direct call and a delivery invokes
-// the protocol handler without an indirect std::function dispatch — the
-// whole send → schedule → deliver → handle chain is visible to the
-// optimizer as one loop. The defaults (`VirtualSampler`, `std::function`,
-// `NoFaults`) keep every legacy `Network<M>(graph, sim, model)` call site
-// source-compatible on the dynamically dispatched path; with `NoFaults` the
+// handler, and the fault filter, and every caller names the first two. The
+// protocol drivers instantiate `Network<M, ConcreteSampler,
+// TypedHandlerStruct>`, so a send samples its latency with an inlinable
+// direct call and a delivery invokes the protocol handler without an
+// indirect dispatch — the whole send → schedule → deliver → handle chain is
+// visible to the optimizer as one loop. With the default `NoFaults` the
 // fault branches are `if constexpr`-eliminated, so the fault-free hot path
-// is unchanged down to the instruction level (the golden hashes pin this).
+// carries no fault code (the golden hashes pin this).
 //
 // The trailing `Index` and `Sim` parameters generalize the edge index and
 // the event arena for the scale path: `Index` is anything with Graph's
@@ -37,11 +35,10 @@
 // ImplicitTreeIndex computes edges on the fly for the structured families),
 // and `Sim` selects the event-slot width (CompactSimulator's 32-byte slots
 // for network-sized protocol events at millions of nodes). Both default to
-// the materialized types, so every existing instantiation is untouched.
+// the materialized types.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -73,9 +70,8 @@ struct NetworkStats {
   Time total_edge_latency = 0;        // sum of sampled edge latencies (ticks)
 };
 
-template <typename M, typename Latency = VirtualSampler,
-          typename Handler = std::function<void(NodeId from, NodeId to, const M& msg)>,
-          typename Faults = NoFaults, typename Index = Graph, typename Sim = Simulator>
+template <typename M, typename Latency, typename Handler, typename Faults = NoFaults,
+          typename Index = Graph, typename Sim = Simulator>
 class Network {
  public:
   // Guard rails on the fast path: messages are copied in and out of the
@@ -227,13 +223,9 @@ class Network {
       sim_.at(done, DeliveryEvent{this, slot});
       return;
     }
-    if constexpr (std::is_constructible_v<bool, const Handler&>) {
-      ARROWDQ_ASSERT_MSG(static_cast<bool>(handler_), "no handler installed");
-    } else {
-      // Typed handlers carry no emptiness state of their own; the flag
-      // keeps "forgot set_handler" loud under the Debug/ASan CI job.
-      ARROWDQ_ASSERT(handler_set_);
-    }
+    // Typed handlers carry no emptiness state of their own; the flag keeps
+    // "forgot set_handler" loud under the Debug/ASan CI job.
+    ARROWDQ_ASSERT(handler_set_);
     // Copy the record out and recycle the slot first: the handler may send,
     // and that send can reuse this slot immediately.
     NodeId from = p.from;

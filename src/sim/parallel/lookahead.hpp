@@ -48,7 +48,6 @@ inline Time sampler_floor(const UniformSampler& s, Weight w_min) {
   return detail::fraction_ticks(s.min_fraction, w_min);
 }
 inline Time sampler_floor(const TruncExpSampler&, Weight) { return 1; }
-inline Time sampler_floor(const VirtualSampler&, Weight) { return 1; }
 template <typename S>
 inline Time sampler_floor(const SamplerRef<S>& s, Weight w_min) {
   return sampler_floor(*s.sampler, w_min);

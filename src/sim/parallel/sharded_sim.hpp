@@ -79,7 +79,7 @@ class ShardedNetSim {
   static_assert(std::is_trivially_copyable_v<M>,
                 "network message types must be trivially copyable");
 
-  using Sim = BasicSimulator<BucketedEventQueue>;  // 48-byte inline slots
+  using Sim = Simulator;
   static constexpr bool kSharded = true;
 
   /// Provisional in-window keys live above every real sequence number the

@@ -2,12 +2,9 @@
 
 namespace arrowdq {
 
-// Instantiate every queue variant here once; consumers link against these
+// Instantiate both slot widths here once; consumers link against these
 // instead of re-instantiating the template per translation unit.
-template class BasicSimulator<BucketedEventQueue>;
-template class BasicSimulator<BinaryEventQueue>;
-template class BasicSimulator<FourAryEventQueue>;
-template class BasicSimulator<PairingEventQueue>;
-template class BasicSimulator<BucketedEventQueue, 16>;  // CompactSimulator
+template class BasicSimulator<48>;  // Simulator
+template class BasicSimulator<16>;  // CompactSimulator
 
 }  // namespace arrowdq

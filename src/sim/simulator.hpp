@@ -9,26 +9,30 @@
 // free-listed arena — no heap allocation when the callable is trivially
 // copyable and fits kInlineStorage bytes, which covers every protocol event
 // in this codebase (oversized or non-trivial callables transparently fall
-// back to one heap allocation). The priority queue orders only 16-byte
-// (time, seq|slot) handles, so sift operations never touch the payloads.
-// Each event's invoke wrapper copies the callable out of the arena and
-// frees the slot *before* running it, which keeps nested scheduling safe
-// against arena growth and lets the freed slot be reused immediately.
+// back to one heap allocation). The event queue (BucketedEventQueue, see
+// event_queue.hpp) orders only 16-byte (time, seq|slot) handles, so it
+// never touches the payloads. Each event's invoke wrapper copies the
+// callable out of the arena and frees the slot *before* running it, which
+// keeps nested scheduling safe against arena growth and lets the freed slot
+// be reused immediately.
 //
-// Same-tick batch draining: step() pulls the entire run of entries sharing
-// the earliest timestamp out of the queue in one pass (Queue::pop_run) and
-// executes them from a flat buffer, so bursty instants — the n simultaneous
-// issue() events of a closed loop, multicast fan-outs — pay one drain
-// instead of log-n heap work per event. Events scheduled *during* a batch
-// at the same instant carry higher sequence numbers than everything in the
-// buffer, so running them in the next refill preserves the exact (time,
-// seq) order of the unbatched core; the golden determinism suite pins this.
+// Same-tick batch draining: step() moves the whole bucket of entries sharing
+// the earliest timestamp out of the queue at once (pop_run) and executes
+// them from a flat buffer, so bursty instants — the n simultaneous issue()
+// events of a closed loop, multicast fan-outs — pay one heap operation
+// instead of one per event. Events scheduled *during* a batch at the same
+// instant carry higher sequence numbers than everything in the buffer, so
+// running them in the next refill preserves the exact (time, seq) order;
+// the golden determinism suite pins this.
+//
+// The one template parameter is the slot width: Simulator (48 inline bytes,
+// 64-byte slots) for the protocol drivers, CompactSimulator (16 inline
+// bytes, 32-byte slots) for the implicit scale tier.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -42,16 +46,13 @@
 namespace arrowdq {
 
 /// `InlineBytes` sets the arena's inline-callable budget and thereby the
-/// slot size (16-byte invoke/destroy header + storage): the default 48
-/// yields 64-byte slots (one cache line); 16 yields a 32-byte "compact"
+/// slot size (16-byte invoke/destroy header + storage): 48 yields 64-byte
+/// slots (one cache line); 16 yields a 32-byte "compact"
 /// slot that doubles arena cache density for 16-byte events such as the
 /// network's DeliveryEvent (bench_throughput measures both).
-template <typename Queue, std::size_t InlineBytes = 48>
+template <std::size_t InlineBytes>
 class BasicSimulator {
  public:
-  /// Compatibility alias; any callable (not just std::function) schedules.
-  using Action = std::function<void()>;
-
   /// Callables at most this large (and trivially copyable/destructible)
   /// schedule without touching the heap.
   static constexpr std::size_t kInlineStorage = InlineBytes;
@@ -113,37 +114,8 @@ class BasicSimulator {
   /// Schedule `fn` at absolute time t >= now().
   template <typename F>
   void at(Time t, F&& fn) {
-    ARROWDQ_ASSERT_MSG(t >= now_, "cannot schedule into the past");
     ARROWDQ_ASSERT_MSG(next_seq_ < EventEntry::kMaxSeq, "event sequence space exhausted");
-    using Fn = std::decay_t<F>;
-    std::uint32_t slot;
-    if constexpr (fits_inline_v<Fn>) {
-      slot = acquire_slot();
-      Slot& s = slots_[slot];
-      ::new (static_cast<void*>(s.storage)) Fn(std::forward<F>(fn));
-      // The wrapper knows sizeof(Fn): it copies exactly that much to the
-      // stack, recycles the slot, then runs — so a nested at() can both
-      // grow the arena and reuse this very slot safely.
-      s.invoke = [](BasicSimulator* self, std::uint32_t sl) {
-        Fn local = *std::launder(reinterpret_cast<Fn*>(self->slots_[sl].storage));
-        self->release_slot(sl);
-        local();
-      };
-      s.destroy = nullptr;
-    } else {
-      // Box first, acquire after: a throwing copy must not strand a slot.
-      auto boxed = std::make_unique<Fn>(std::forward<F>(fn));
-      slot = acquire_slot();
-      Slot& s = slots_[slot];
-      ::new (static_cast<void*>(s.storage)) (Fn*)(boxed.release());
-      s.invoke = [](BasicSimulator* self, std::uint32_t sl) {
-        std::unique_ptr<Fn> f(*std::launder(reinterpret_cast<Fn**>(self->slots_[sl].storage)));
-        self->release_slot(sl);
-        (*f)();
-      };
-      s.destroy = [](void* p) { delete *std::launder(static_cast<Fn**>(p)); };
-    }
-    queue_.push(EventEntry::make(t, next_seq_++, slot));
+    schedule(t, next_seq_++, std::forward<F>(fn));
   }
 
   /// Schedule `fn` at now() + delay, delay >= 0.
@@ -161,33 +133,8 @@ class BasicSimulator {
   /// any single time bucket, successive pushes must carry increasing seqs.
   template <typename F>
   void at_seq(Time t, std::uint64_t seq, F&& fn) {
-    ARROWDQ_ASSERT_MSG(t >= now_, "cannot schedule into the past");
     ARROWDQ_ASSERT_MSG(seq < EventEntry::kMaxSeq, "event sequence out of range");
-    using Fn = std::decay_t<F>;
-    std::uint32_t slot;
-    if constexpr (fits_inline_v<Fn>) {
-      slot = acquire_slot();
-      Slot& s = slots_[slot];
-      ::new (static_cast<void*>(s.storage)) Fn(std::forward<F>(fn));
-      s.invoke = [](BasicSimulator* self, std::uint32_t sl) {
-        Fn local = *std::launder(reinterpret_cast<Fn*>(self->slots_[sl].storage));
-        self->release_slot(sl);
-        local();
-      };
-      s.destroy = nullptr;
-    } else {
-      auto boxed = std::make_unique<Fn>(std::forward<F>(fn));
-      slot = acquire_slot();
-      Slot& s = slots_[slot];
-      ::new (static_cast<void*>(s.storage)) (Fn*)(boxed.release());
-      s.invoke = [](BasicSimulator* self, std::uint32_t sl) {
-        std::unique_ptr<Fn> f(*std::launder(reinterpret_cast<Fn**>(self->slots_[sl].storage)));
-        self->release_slot(sl);
-        (*f)();
-      };
-      s.destroy = [](void* p) { delete *std::launder(static_cast<Fn**>(p)); };
-    }
-    queue_.push(EventEntry::make(t, seq, slot));
+    schedule(t, seq, std::forward<F>(fn));
   }
 
   /// Execute the single earliest event. Returns false if none pending.
@@ -258,6 +205,42 @@ class BasicSimulator {
   };
   static_assert(std::is_trivially_copyable_v<Slot>);
 
+  /// The one schedule path behind at() and at_seq(): type-erase `fn` into an
+  /// arena slot and queue its (t, seq) handle.
+  template <typename F>
+  void schedule(Time t, std::uint64_t seq, F&& fn) {
+    ARROWDQ_ASSERT_MSG(t >= now_, "cannot schedule into the past");
+    using Fn = std::decay_t<F>;
+    std::uint32_t slot;
+    if constexpr (fits_inline_v<Fn>) {
+      slot = acquire_slot();
+      Slot& s = slots_[slot];
+      ::new (static_cast<void*>(s.storage)) Fn(std::forward<F>(fn));
+      // The wrapper knows sizeof(Fn): it copies exactly that much to the
+      // stack, recycles the slot, then runs — so a nested at() can both
+      // grow the arena and reuse this very slot safely.
+      s.invoke = [](BasicSimulator* self, std::uint32_t sl) {
+        Fn local = *std::launder(reinterpret_cast<Fn*>(self->slots_[sl].storage));
+        self->release_slot(sl);
+        local();
+      };
+      s.destroy = nullptr;
+    } else {
+      // Box first, acquire after: a throwing copy must not strand a slot.
+      auto boxed = std::make_unique<Fn>(std::forward<F>(fn));
+      slot = acquire_slot();
+      Slot& s = slots_[slot];
+      ::new (static_cast<void*>(s.storage)) (Fn*)(boxed.release());
+      s.invoke = [](BasicSimulator* self, std::uint32_t sl) {
+        std::unique_ptr<Fn> f(*std::launder(reinterpret_cast<Fn**>(self->slots_[sl].storage)));
+        self->release_slot(sl);
+        (*f)();
+      };
+      s.destroy = [](void* p) { delete *std::launder(static_cast<Fn**>(p)); };
+    }
+    queue_.push(EventEntry::make(t, seq, slot));
+  }
+
   /// Earliest pending event time; undefined when idle().
   Time next_time() const {
     return batch_pos_ < batch_.size() ? batch_[batch_pos_].t : queue_.top_time();
@@ -282,8 +265,7 @@ class BasicSimulator {
 
   /// A moved-from simulator must stay usable: the free list (which would
   /// point into the old arena) must be emptied, and so must the queue —
-  /// PairingEventQueue's node-pool move leaves stale root/size scalars
-  /// behind that clear() resets.
+  /// its move leaves stale size and map scalars behind that clear() resets.
   void reset_moved_from() {
     queue_.clear();
     batch_.clear();
@@ -310,7 +292,7 @@ class BasicSimulator {
     }
   }
 
-  Queue queue_;
+  BucketedEventQueue queue_;
   std::vector<Slot> slots_;
   /// Current same-tick run, drained from the queue in one pop_run; entries
   /// at batch_pos_.. are pending, earlier ones already executed.
@@ -323,26 +305,18 @@ class BasicSimulator {
   std::uint64_t executed_ = 0;
 };
 
-/// The default simulator. Protocol workloads are tie-heavy (service times
-/// and unit latencies quantize timestamps), so the calendar-style bucketed
-/// queue — O(1) per event, one heap operation per *instant* — beats every
-/// comparison heap end-to-end; the binary heap over 16-byte handles remains
-/// the strongest general-purpose alternate (see event_queue.hpp and
-/// bench_throughput).
-using Simulator = BasicSimulator<BucketedEventQueue>;
+/// The default simulator: 64-byte arena slots, so every protocol driver's
+/// 24-40-byte issue events stay on the inline path.
+using Simulator = BasicSimulator<48>;
 
 /// 32-byte-slot variant (16-byte inline budget): double the arena cache
 /// density for drivers whose events are all pointer+index sized, at the
 /// cost of boxing anything larger. Measured against the default by
-/// bench_throughput's event_core_compact section; the 64-byte slot stays
-/// the default because every protocol driver also schedules 24-40-byte
-/// issue events that must not fall onto the heap path.
-using CompactSimulator = BasicSimulator<BucketedEventQueue, 16>;
+/// bench_throughput's event_core_compact section; the implicit scale tier
+/// runs on it.
+using CompactSimulator = BasicSimulator<16>;
 
-extern template class BasicSimulator<BucketedEventQueue>;
-extern template class BasicSimulator<BinaryEventQueue>;
-extern template class BasicSimulator<FourAryEventQueue>;
-extern template class BasicSimulator<PairingEventQueue>;
-extern template class BasicSimulator<BucketedEventQueue, 16>;
+extern template class BasicSimulator<48>;
+extern template class BasicSimulator<16>;
 
 }  // namespace arrowdq

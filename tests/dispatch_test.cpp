@@ -1,22 +1,22 @@
 // Coverage for the statically dispatched hot path, the same-tick batch
 // drain, and the parallel sweep runner.
 //
-//  * Typed-handler + value-sampler execution must be tick-identical to the
-//    dynamically dispatched reference (std::function handler + virtual
-//    LatencyModel) on seeded instances — one-shot QueuingOutcomes and
-//    closed-loop ClosedLoopResults compared field by field.
-//  * with_static_latency must hand back samplers that share state with the
-//    model (same draw sequence), and fall back to the virtual adapter for
-//    unknown subclasses.
+//  * with_static_latency must hand each of the four models its concrete
+//    sampler, sharing state with the model (same draw sequence).
+//  * Runs on the static path must replay tick-identically from equally
+//    seeded models and draw exactly once per message from the model's
+//    stream.
 //  * Batch draining must preserve exact (time, seq) FIFO order under heavy
-//    same-instant load, including events scheduled mid-batch, on every
-//    queue implementation.
+//    same-instant load, including events scheduled mid-batch, at both arena
+//    slot widths.
 //  * SweepRunner results must not depend on the thread count (including 1)
 //    and map() must return results in index order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "arrow/arrow.hpp"
@@ -26,74 +26,11 @@
 #include "sim/latency.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "support/random.hpp"
 #include "testutil.hpp"
 
 namespace arrowdq {
 namespace {
-
-std::unique_ptr<LatencyModel> model_for(int seed) {
-  switch (seed % 4) {
-    case 0: return make_synchronous();
-    case 1: return make_scaled(0.25 + 0.05 * (seed % 5));
-    case 2: return make_uniform_async(static_cast<std::uint64_t>(seed) * 31 + 7, 0.1);
-    default: return make_truncated_exp(static_cast<std::uint64_t>(seed) * 53 + 11, 0.4);
-  }
-}
-
-void expect_outcomes_equal(const QueuingOutcome& a, const QueuingOutcome& b, int seed) {
-  ASSERT_EQ(a.request_count(), b.request_count()) << "seed " << seed;
-  EXPECT_EQ(a.order(), b.order()) << "seed " << seed;
-  for (RequestId id = 1; id <= a.request_count(); ++id) {
-    const Completion& ca = a.completion(id);
-    const Completion& cb = b.completion(id);
-    EXPECT_EQ(ca.predecessor, cb.predecessor) << "seed " << seed << " req " << id;
-    EXPECT_EQ(ca.completed_at, cb.completed_at) << "seed " << seed << " req " << id;
-    EXPECT_EQ(ca.hops, cb.hops) << "seed " << seed << " req " << id;
-    EXPECT_EQ(ca.distance, cb.distance) << "seed " << seed << " req " << id;
-  }
-}
-
-TEST(StaticDispatch, OneShotMatchesDynamicReference) {
-  for (int seed = 0; seed < 16; ++seed) {
-    auto inst = testutil::make_tree_instance(seed);
-    // Two independently seeded model instances: the two paths must consume
-    // identical RNG streams.
-    auto m_static = model_for(seed);
-    auto m_dynamic = model_for(seed);
-    ArrowEngine e_static(inst.tree, *m_static);
-    ArrowEngine e_dynamic(inst.tree, *m_dynamic);
-    if (seed % 3 == 1) {
-      e_static.set_service_time(kTicksPerUnit / 8);
-      e_dynamic.set_service_time(kTicksPerUnit / 8);
-    }
-    QueuingOutcome out_static = e_static.run(inst.requests);
-    QueuingOutcome out_dynamic = e_dynamic.run_dynamic(inst.requests);
-    expect_outcomes_equal(out_static, out_dynamic, seed);
-    EXPECT_EQ(e_static.links(), e_dynamic.links()) << "seed " << seed;
-    EXPECT_EQ(e_static.sink_node(), e_dynamic.sink_node()) << "seed " << seed;
-    EXPECT_EQ(e_static.messages_sent(), e_dynamic.messages_sent()) << "seed " << seed;
-    EXPECT_EQ(e_static.sim().now(), e_dynamic.sim().now()) << "seed " << seed;
-  }
-}
-
-TEST(StaticDispatch, ClosedLoopMatchesDynamicReference) {
-  for (int seed = 0; seed < 10; ++seed) {
-    auto inst = testutil::make_tree_instance(seed);
-    auto m_static = model_for(seed);
-    auto m_dynamic = model_for(seed);
-    ClosedLoopConfig cfg;
-    cfg.requests_per_node = 15 + seed % 9;
-    cfg.service_time = seed % 3 == 0 ? 0 : kTicksPerUnit / 16;
-    ClosedLoopResult rs = run_arrow_closed_loop(inst.tree, *m_static, cfg);
-    ClosedLoopResult rd = run_arrow_closed_loop_dynamic(inst.tree, *m_dynamic, cfg);
-    EXPECT_EQ(rs.makespan, rd.makespan) << "seed " << seed;
-    EXPECT_EQ(rs.total_requests, rd.total_requests) << "seed " << seed;
-    EXPECT_EQ(rs.tree_messages, rd.tree_messages) << "seed " << seed;
-    EXPECT_EQ(rs.notify_messages, rd.notify_messages) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(rs.avg_hops_per_request, rd.avg_hops_per_request) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(rs.avg_round_latency_units, rd.avg_round_latency_units) << "seed " << seed;
-  }
-}
 
 TEST(StaticDispatch, SamplersShareStateWithModels) {
   // Stateful models: the dispatched sampler must draw from the *same*
@@ -117,19 +54,98 @@ TEST(StaticDispatch, SamplersShareStateWithModels) {
   });
 }
 
-TEST(StaticDispatch, UnknownModelFallsBackToVirtualSampler) {
-  struct CustomLatency final : LatencyModel {
-    Time sample(NodeId, NodeId, Weight weight) override { return units_to_ticks(weight) + 1; }
-    const char* name() const override { return "custom"; }
-  };
-  CustomLatency custom;
-  bool called = false;
-  with_static_latency(custom, [&](auto sampler) {
-    EXPECT_EQ(sampler(0, 1, 2), units_to_ticks(2) + 1);
-    EXPECT_TRUE((std::is_same_v<decltype(sampler), VirtualSampler>));
-    called = true;
+TEST(StaticDispatch, EachModelDispatchesToItsConcreteSampler) {
+  SynchronousLatency sync;
+  with_static_latency(sync, [](auto sampler) {
+    EXPECT_TRUE((std::is_same_v<decltype(sampler), SyncSampler>));
+    EXPECT_EQ(sampler(0, 1, 3), units_to_ticks(3));
   });
-  EXPECT_TRUE(called);
+  ScaledLatency scaled(0.25);
+  with_static_latency(scaled, [](auto sampler) {
+    EXPECT_TRUE((std::is_same_v<decltype(sampler), ScaledSampler>));
+    EXPECT_EQ(sampler(0, 1, 4), units_to_ticks(1));
+  });
+  UniformAsyncLatency uniform(3, 0.2);
+  with_static_latency(uniform, [](auto sampler) {
+    EXPECT_TRUE((std::is_same_v<decltype(sampler), SamplerRef<UniformSampler>>));
+  });
+  TruncatedExpLatency exp(4, 0.3);
+  with_static_latency(exp, [](auto sampler) {
+    EXPECT_TRUE((std::is_same_v<decltype(sampler), SamplerRef<TruncExpSampler>>));
+  });
+  // The result of the callable passes through.
+  EXPECT_EQ(with_static_latency(sync, [](auto) { return 17; }), 17);
+}
+
+std::unique_ptr<LatencyModel> model_for(int seed) {
+  switch (seed % 4) {
+    case 0: return make_synchronous();
+    case 1: return make_scaled(0.25 + 0.05 * (seed % 5));
+    case 2: return make_uniform_async(static_cast<std::uint64_t>(seed) * 31 + 7, 0.1);
+    default: return make_truncated_exp(static_cast<std::uint64_t>(seed) * 53 + 11, 0.4);
+  }
+}
+
+void expect_outcomes_equal(const QueuingOutcome& a, const QueuingOutcome& b, int seed) {
+  ASSERT_EQ(a.request_count(), b.request_count()) << "seed " << seed;
+  EXPECT_EQ(a.order(), b.order()) << "seed " << seed;
+  for (RequestId id = 1; id <= a.request_count(); ++id) {
+    const Completion& ca = a.completion(id);
+    const Completion& cb = b.completion(id);
+    EXPECT_EQ(ca.predecessor, cb.predecessor) << "seed " << seed << " req " << id;
+    EXPECT_EQ(ca.completed_at, cb.completed_at) << "seed " << seed << " req " << id;
+    EXPECT_EQ(ca.hops, cb.hops) << "seed " << seed << " req " << id;
+    EXPECT_EQ(ca.distance, cb.distance) << "seed " << seed << " req " << id;
+  }
+}
+
+TEST(StaticDispatch, OneShotReplaysAndDrawsOncePerMessage) {
+  // Two independently built, equally seeded models give tick-identical
+  // runs, and a run consumes exactly one draw of the model's own stream per
+  // message: a fresh twin advanced by messages_sent() draws lands on the
+  // same next draw as the model the run used.
+  for (int seed = 0; seed < 16; ++seed) {
+    auto inst = testutil::make_tree_instance(seed);
+    auto m_a = model_for(seed);
+    auto m_b = model_for(seed);
+    ArrowEngine e_a(inst.tree, *m_a);
+    ArrowEngine e_b(inst.tree, *m_b);
+    if (seed % 3 == 1) {
+      e_a.set_service_time(kTicksPerUnit / 8);
+      e_b.set_service_time(kTicksPerUnit / 8);
+    }
+    expect_outcomes_equal(e_a.run(inst.requests), e_b.run(inst.requests), seed);
+    EXPECT_EQ(e_a.links(), e_b.links()) << "seed " << seed;
+    EXPECT_EQ(e_a.sink_node(), e_b.sink_node()) << "seed " << seed;
+    EXPECT_EQ(e_a.messages_sent(), e_b.messages_sent()) << "seed " << seed;
+    EXPECT_EQ(e_a.sim().now(), e_b.sim().now()) << "seed " << seed;
+
+    auto twin = model_for(seed);
+    for (std::uint64_t i = 0; i < e_a.messages_sent(); ++i) twin->sample(0, 1, 1);
+    for (int i = 0; i < 8; ++i)
+      EXPECT_EQ(m_a->sample(0, 1, 5), twin->sample(0, 1, 5)) << "seed " << seed;
+  }
+}
+
+TEST(StaticDispatch, ClosedLoopReplaysIdenticallyUnderEveryModel) {
+  for (int seed = 0; seed < 10; ++seed) {
+    auto inst = testutil::make_tree_instance(seed);
+    auto m_a = model_for(seed);
+    auto m_b = model_for(seed);
+    ClosedLoopConfig cfg;
+    cfg.requests_per_node = 15 + seed % 9;
+    cfg.service_time = seed % 3 == 0 ? 0 : kTicksPerUnit / 16;
+    ClosedLoopResult ra = run_arrow_closed_loop(inst.tree, *m_a, cfg);
+    ClosedLoopResult rb = run_arrow_closed_loop(inst.tree, *m_b, cfg);
+    EXPECT_EQ(ra.total_requests, cfg.requests_per_node * inst.tree.node_count())
+        << "seed " << seed;
+    EXPECT_EQ(ra.makespan, rb.makespan) << "seed " << seed;
+    EXPECT_EQ(ra.total_requests, rb.total_requests) << "seed " << seed;
+    EXPECT_EQ(ra.tree_messages, rb.tree_messages) << "seed " << seed;
+    EXPECT_EQ(ra.notify_messages, rb.notify_messages) << "seed " << seed;
+    EXPECT_DOUBLE_EQ(ra.avg_hops_per_request, rb.avg_hops_per_request) << "seed " << seed;
+    EXPECT_DOUBLE_EQ(ra.avg_round_latency_units, rb.avg_round_latency_units) << "seed " << seed;
+  }
 }
 
 // --- batch drain ----------------------------------------------------------
@@ -167,19 +183,17 @@ void drive_batch_fifo() {
 }
 
 TEST(BatchDrain, FifoUnderManySameInstantEvents) {
-  drive_batch_fifo<BasicSimulator<BucketedEventQueue>>();
-  drive_batch_fifo<BasicSimulator<BinaryEventQueue>>();
-  drive_batch_fifo<BasicSimulator<FourAryEventQueue>>();
-  drive_batch_fifo<BasicSimulator<PairingEventQueue>>();
+  drive_batch_fifo<Simulator>();
+  drive_batch_fifo<CompactSimulator>();
 }
 
-TEST(BatchDrain, RandomizedOrderAgreesAcrossQueues) {
-  // Property: all queue implementations realize the identical total order
-  // on a random schedule with heavy duplicate times, including nested
-  // scheduling from inside handlers.
-  auto drive = [](auto sim_tag, int seed) {
-    using Sim = decltype(sim_tag);
-    Sim sim;
+TEST(BatchDrain, RandomizedScheduleRunsInTimeSeqOrder) {
+  // Property: on a random schedule with heavy duplicate times, including
+  // nested scheduling from inside handlers, every event runs exactly once,
+  // instants run in time order, and within an instant events run in
+  // schedule order (tags are handed out in schedule order).
+  for (int seed = 0; seed < 6; ++seed) {
+    Simulator sim;
     Rng rng(static_cast<std::uint64_t>(seed) * 2654435761u + 17);
     std::vector<std::pair<Time, int>> log;
     int next_tag = 0;
@@ -196,26 +210,19 @@ TEST(BatchDrain, RandomizedOrderAgreesAcrossQueues) {
       });
     }
     sim.run();
-    return log;
-  };
-  for (int seed = 0; seed < 6; ++seed) {
-    auto bucketed = drive(BasicSimulator<BucketedEventQueue>{}, seed);
-    auto binary = drive(BasicSimulator<BinaryEventQueue>{}, seed);
-    auto pairing = drive(BasicSimulator<PairingEventQueue>{}, seed);
-    EXPECT_EQ(bucketed, binary) << "seed " << seed;
-    EXPECT_EQ(bucketed, pairing) << "seed " << seed;
-    // Sanity: within every instant, tags are strictly increasing (schedule
-    // order), and instants are non-decreasing in time.
-    for (std::size_t i = 1; i < bucketed.size(); ++i) {
-      EXPECT_LE(bucketed[i - 1].first, bucketed[i].first) << "seed " << seed;
-      if (bucketed[i - 1].first == bucketed[i].first)
-        EXPECT_LT(bucketed[i - 1].second, bucketed[i].second) << "seed " << seed;
+    EXPECT_EQ(log.size(), static_cast<std::size_t>(next_tag)) << "seed " << seed;
+    EXPECT_EQ(sim.events_executed(), log.size()) << "seed " << seed;
+    for (std::size_t i = 1; i < log.size(); ++i) {
+      EXPECT_LE(log[i - 1].first, log[i].first) << "seed " << seed;
+      if (log[i - 1].first == log[i].first) {
+        EXPECT_LT(log[i - 1].second, log[i].second) << "seed " << seed;
+      }
     }
   }
 }
 
 TEST(BatchDrain, StepAndRunUntilInteroperate) {
-  BasicSimulator<BucketedEventQueue> sim;
+  Simulator sim;
   std::vector<int> log;
   for (int i = 0; i < 5; ++i) sim.at(10, [&log, i] { log.push_back(i); });
   for (int i = 5; i < 8; ++i) sim.at(20, [&log, i] { log.push_back(i); });

@@ -289,7 +289,7 @@ TEST(Experiment, TokenPassingMatchesLegacySequence) {
 }
 
 // A centralized center outside [0, nodes) is a diagnostic up front, not an
-// assertion inside the driver.
+// assertion inside the driver; so is a latency fraction outside (0, 1].
 TEST(Experiment, CentralizedCenterOutOfRangeIsRejected) {
   for (const TopologySpec& topo :
        {TopologySpec::geometric(40, /*seed=*/2), TopologySpec::complete(40)}) {
@@ -308,6 +308,23 @@ TEST(Experiment, CentralizedCenterOutOfRangeIsRejected) {
         EXPECT_EQ(validate_experiment(e), std::nullopt) << topo.family_name() << " center " << ok;
       }
     }
+  }
+  Experiment e;
+  e.topology = TopologySpec::complete(8);
+  for (double bad : {2.0, 1.5, 0.0, -0.5}) {
+    for (const LatencySpec& spec : {LatencySpec::scaled(bad), LatencySpec::uniform_async(1, bad),
+                                    LatencySpec::truncated_exp(1, bad)}) {
+      e.latency = spec;
+      const auto err = validate_experiment(e);
+      ASSERT_TRUE(err.has_value()) << spec.name() << " " << bad;
+      EXPECT_NE(err->find("(0, 1]"), std::string::npos) << *err;
+    }
+  }
+  for (const LatencySpec& spec : {LatencySpec::synchronous(), LatencySpec::scaled(1.0),
+                                  LatencySpec::uniform_async(1, 0.05),
+                                  LatencySpec::truncated_exp(1, 0.3)}) {
+    e.latency = spec;
+    EXPECT_EQ(validate_experiment(e), std::nullopt) << spec.name();
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -80,7 +81,7 @@ TEST(SimulatorTest, EqualTimeFifoAcrossManyEventsWithNestedScheduling) {
 }
 
 // Ties must also hold across the two scheduling paths (inline arena slot vs
-// heap-boxed fallback for oversized callables) and both queue variants.
+// heap-boxed fallback for oversized callables) at both slot widths.
 TEST(SimulatorTest, EqualTimeFifoAcrossInlineAndBoxedEvents) {
   std::vector<int> log;
   auto drive = [&log](auto& sim) {
@@ -100,16 +101,12 @@ TEST(SimulatorTest, EqualTimeFifoAcrossInlineAndBoxedEvents) {
     }
     sim.run();
   };
-  BasicSimulator<BinaryEventQueue> binary;
-  drive(binary);
+  Simulator sim;
+  drive(sim);
   ASSERT_EQ(log.size(), 8u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(log[static_cast<std::size_t>(i)], i);
-  BasicSimulator<FourAryEventQueue> four;
-  drive(four);
-  ASSERT_EQ(log.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(log[static_cast<std::size_t>(i)], i);
-  BasicSimulator<PairingEventQueue> pairing;
-  drive(pairing);
+  CompactSimulator compact;
+  drive(compact);
   ASSERT_EQ(log.size(), 8u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(log[static_cast<std::size_t>(i)], i);
 }
@@ -128,8 +125,8 @@ TEST(SimulatorTest, DiscardsPendingBoxedEventsOnReset) {
 }
 
 // Moving from a non-empty simulator must leave the source empty and usable
-// for every queue variant (the pairing heap's node-pool move is the tricky
-// one: its root/size scalars need an explicit reset).
+// at both slot widths (the queue's moved-from size and map scalars need an
+// explicit reset).
 TEST(SimulatorTest, MovedFromSimulatorIsEmptyAndUsable) {
   auto drive = [](auto sim) {
     int fired = 0;
@@ -142,9 +139,8 @@ TEST(SimulatorTest, MovedFromSimulatorIsEmptyAndUsable) {
     taken.run();
     EXPECT_EQ(fired, 11);
   };
-  drive(BasicSimulator<BinaryEventQueue>{});
-  drive(BasicSimulator<FourAryEventQueue>{});
-  drive(BasicSimulator<PairingEventQueue>{});
+  drive(Simulator{});
+  drive(CompactSimulator{});
 }
 
 TEST(SimulatorTest, StepReturnsFalseWhenIdle) {
@@ -193,11 +189,12 @@ struct TestMsg {
   int payload = 0;
 };
 
+using TestHandler = std::function<void(NodeId from, NodeId to, const TestMsg& msg)>;
+
 TEST(NetworkTest, DeliversAfterLatency) {
   Graph g = make_path(2);
   Simulator sim;
-  SynchronousLatency lat;
-  Network<TestMsg> net(g, sim, lat);
+  Network<TestMsg, SyncSampler, TestHandler> net(g, sim, SyncSampler{});
   std::vector<std::pair<Time, int>> got;
   net.set_handler([&](NodeId, NodeId, const TestMsg& m) { got.emplace_back(sim.now(), m.payload); });
   net.send(0, 1, {42});
@@ -212,7 +209,7 @@ TEST(NetworkTest, FifoPreservedUnderRandomLatency) {
   Graph g = make_path(2);
   Simulator sim;
   UniformAsyncLatency lat(5, 0.05);
-  Network<TestMsg> net(g, sim, lat);
+  Network<TestMsg, SamplerRef<UniformSampler>, TestHandler> net(g, sim, {&lat.sampler()});
   std::vector<int> got;
   net.set_handler([&](NodeId, NodeId, const TestMsg& m) { got.push_back(m.payload); });
   for (int i = 0; i < 50; ++i) net.send(0, 1, {i});
@@ -225,7 +222,7 @@ TEST(NetworkTest, FifoIsPerDirectedEdge) {
   Graph g = make_path(3);
   Simulator sim;
   UniformAsyncLatency lat(6, 0.05);
-  Network<TestMsg> net(g, sim, lat);
+  Network<TestMsg, SamplerRef<UniformSampler>, TestHandler> net(g, sim, {&lat.sampler()});
   std::vector<int> at2;
   net.set_handler([&](NodeId, NodeId to, const TestMsg& m) {
     if (to == 2) at2.push_back(m.payload);
@@ -238,8 +235,7 @@ TEST(NetworkTest, FifoIsPerDirectedEdge) {
 TEST(NetworkTest, SendWithLatencyDirect) {
   Graph g = make_path(4);  // no edge 0-3
   Simulator sim;
-  SynchronousLatency lat;
-  Network<TestMsg> net(g, sim, lat);
+  Network<TestMsg, SyncSampler, TestHandler> net(g, sim, SyncSampler{});
   Time delivered = -1;
   net.set_handler([&](NodeId from, NodeId to, const TestMsg&) {
     EXPECT_EQ(from, 0);
@@ -255,8 +251,7 @@ TEST(NetworkTest, SendWithLatencyDirect) {
 TEST(NetworkTest, ServiceTimeSerializesANode) {
   Graph g = make_star(3);  // center 0
   Simulator sim;
-  SynchronousLatency lat;
-  Network<TestMsg> net(g, sim, lat);
+  Network<TestMsg, SyncSampler, TestHandler> net(g, sim, SyncSampler{});
   net.set_service_time(100);
   std::vector<Time> handled;
   net.set_handler([&](NodeId, NodeId, const TestMsg&) { handled.push_back(sim.now()); });
@@ -272,8 +267,7 @@ TEST(NetworkTest, ServiceTimeSerializesANode) {
 TEST(NetworkTest, ZeroServiceHandlesInParallel) {
   Graph g = make_star(3);
   Simulator sim;
-  SynchronousLatency lat;
-  Network<TestMsg> net(g, sim, lat);
+  Network<TestMsg, SyncSampler, TestHandler> net(g, sim, SyncSampler{});
   std::vector<Time> handled;
   net.set_handler([&](NodeId, NodeId, const TestMsg&) { handled.push_back(sim.now()); });
   net.send(1, 0, {1});
@@ -287,8 +281,7 @@ TEST(NetworkTest, ZeroServiceHandlesInParallel) {
 TEST(NetworkTest, LatencyStatsAccumulate) {
   Graph g = make_path(2);
   Simulator sim;
-  SynchronousLatency lat;
-  Network<TestMsg> net(g, sim, lat);
+  Network<TestMsg, SyncSampler, TestHandler> net(g, sim, SyncSampler{});
   net.set_handler([](NodeId, NodeId, const TestMsg&) {});
   net.send(0, 1, {1});
   net.send(1, 0, {2});
