@@ -44,6 +44,13 @@ class Fnv1a {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
+/// Which recovery waves a pinned fault case actually fired.
+struct FiredWaves {
+  std::int32_t crashes = 0;
+  std::int32_t partitions = 0;
+  std::int32_t reselections = 0;
+};
+
 void hash_outcome(Fnv1a& h, const QueuingOutcome& out) {
   for (RequestId id : out.order()) h.add_signed(id);
   for (RequestId id = 1; id <= out.request_count(); ++id) {
@@ -141,6 +148,106 @@ std::uint64_t forwarding_loop_case_hash(int seed) {
   return h.value();
 }
 
+// --- recovery pins ----------------------------------------------------------
+//
+// Crash, partition and churn recovery (the epoch + SelfStabilizer waves) on
+// both arrow drivers. Each case is (instance, schedule): kRecoverySchedules
+// topology-fault schedules dense enough to fire several windows mid-run.
+
+constexpr int kRecoverySchedules = 4;  // crash, partition, churn, combined
+constexpr int kRecoveryInstances = 4;
+constexpr int kRecoveryCases = kRecoverySchedules * kRecoveryInstances;
+
+FaultSpec recovery_fault(int schedule, int instance) {
+  FaultSpec f;
+  switch (schedule) {
+    case 0: f = FaultSpec::crash(4, 1.0, 2.0); break;
+    case 1: f = FaultSpec::partition(3, 2.0, 3.0); break;
+    case 2: f = FaultSpec::churn(40.0, instance % 2 == 1); break;
+    default:
+      f = FaultSpec::partition(2, 1.5, 4.0);
+      f.crash_count = 3;
+      f.crash_downtime_units = 1.0;
+      f.crash_period_units = 3.0;
+      f.churn_rate = 30.0;
+      break;
+  }
+  f.seed = 0x5eed00ULL + static_cast<std::uint64_t>(schedule * 131 + instance * 17);
+  return f;
+}
+
+/// Hash of the recovery counters shared by both drivers' results.
+void hash_recovery(Fnv1a& h, int rounds, int corrections, std::int32_t crashes,
+                   std::int32_t partitions, std::int32_t reselections) {
+  h.add_signed(rounds);
+  h.add_signed(corrections);
+  h.add_signed(crashes);
+  h.add_signed(partitions);
+  h.add_signed(reselections);
+}
+
+/// One-shot arrow under a topology-fault schedule. Instance 1 runs an async
+/// latency model; instance 3 roots the caller's tree away from the request
+/// root, so crash corruption (which reads the caller's tree) and the
+/// anchored tree (which the waves converge to) differ.
+std::uint64_t arrow_recovery_case_hash(int c, FiredWaves* seen = nullptr) {
+  const int schedule = c % kRecoverySchedules;
+  const int instance = c / kRecoverySchedules;
+  constexpr int kSeeds[kRecoveryInstances] = {3, 5, 7, 11};
+  auto inst = testutil::make_tree_instance(kSeeds[instance]);
+  if (instance == 3)
+    inst.tree = inst.tree.rerooted((inst.requests.root() + 1) % inst.tree.node_count());
+  std::unique_ptr<LatencyModel> lat =
+      instance == 1 ? make_uniform_async(41, 0.1) : make_synchronous();
+  ArrowEngine engine(inst.tree, *lat);
+  engine.set_fault(recovery_fault(schedule, instance));
+  QueuingOutcome out = engine.run(inst.requests);
+  Fnv1a h;
+  for (RequestId id = 1; id <= out.request_count(); ++id) {
+    const Completion& cp = out.completion(id);
+    h.add_signed(cp.predecessor);
+    h.add_signed(cp.completed_at);
+    h.add_signed(cp.hops);
+    h.add_signed(cp.distance);
+  }
+  for (NodeId link : engine.links()) h.add_signed(link);
+  h.add_signed(engine.sink_node());
+  h.add(engine.messages_sent());
+  h.add_signed(engine.sim().now());
+  h.add(engine.fault_stats().partition_deferred);
+  hash_recovery(h, engine.stabilize_rounds(), engine.stabilize_corrections(),
+                engine.crashes_applied(), engine.partitions_applied(), engine.reselections());
+  if (seen) *seen = {engine.crashes_applied(), engine.partitions_applied(), engine.reselections()};
+  return h.value();
+}
+
+/// Closed-loop arrow under a topology-fault schedule. Instance 2 runs an
+/// async latency model; instance 3 adds a serial service time.
+std::uint64_t loop_recovery_case_hash(int c, FiredWaves* seen = nullptr) {
+  const int schedule = c % kRecoverySchedules;
+  const int instance = c / kRecoverySchedules;
+  constexpr int kSeeds[kRecoveryInstances] = {0, 4, 6, 9};
+  auto inst = testutil::make_tree_instance(kSeeds[instance]);
+  std::unique_ptr<LatencyModel> lat =
+      instance == 2 ? make_truncated_exp(23, 0.4) : make_synchronous();
+  ClosedLoopConfig cfg;
+  cfg.requests_per_node = 12;
+  cfg.service_time = instance == 3 ? kTicksPerUnit / 16 : 0;
+  cfg.fault = recovery_fault(schedule, instance);
+  ClosedLoopResult res = run_arrow_closed_loop(inst.tree, *lat, cfg);
+  Fnv1a h;
+  h.add_signed(res.makespan);
+  h.add_signed(res.total_requests);
+  h.add(res.tree_messages);
+  h.add(res.notify_messages);
+  h.add(res.partition_backlog);
+  h.add(static_cast<std::uint64_t>(res.avg_round_latency_units * 1e6));
+  hash_recovery(h, res.stabilize_rounds, res.stabilize_corrections, res.crashes, res.partitions,
+                res.reselections);
+  if (seen) *seen = {res.crashes, res.partitions, res.reselections};
+  return h.value();
+}
+
 constexpr int kArrowCases = 12;
 constexpr int kLoopCases = 6;
 constexpr int kBaselineCases = 6;
@@ -166,6 +273,36 @@ constexpr std::uint64_t kForwardLoopGolden[kForwardLoopCases] = {
     0xa69e76166af37bffULL, 0x7a8ed0ca0849b181ULL, 0xe24b0d7463ce83a0ULL,
     0x92289a766347d17dULL, 0x6935c587a2e6cea1ULL, 0xf5f47e33a0435fb2ULL,
 };
+
+// Pinned against the per-driver recovery waves (before ArrowRecovery).
+constexpr std::uint64_t kArrowRecoveryGolden[kRecoveryCases] = {
+    0x683803199c04f0fbULL, 0xcf3a93fdb59a0ce0ULL, 0xd23eb6b9d190795bULL,
+    0xd10a3f3b23e6077bULL, 0x5b3063a38b852ee7ULL, 0x4563a59acb1b15d6ULL,
+    0x53f5a73182bd5637ULL, 0x63e1e305e34de213ULL, 0xd9c85473fbe79464ULL,
+    0x8a1cdd1cc46280f2ULL, 0xf83bb56c7cea60c4ULL, 0x76cb12fc3561e31aULL,
+    0x8edb911d00ec3bf4ULL, 0xf44840e72b3cb760ULL, 0x7c239d75c18dbd59ULL,
+    0xe4226f7fd1c47719ULL,
+};
+constexpr std::uint64_t kLoopRecoveryGolden[kRecoveryCases] = {
+    0xb274719def7a8eb2ULL, 0xee21bd85595f1c99ULL, 0xb1eb7933cb20abffULL,
+    0x6ee7ed87538828e3ULL, 0x1ad064758f5c04b1ULL, 0xf3f3685bb1ca65aaULL,
+    0xe2c909da483571d3ULL, 0x9017714b074a4b99ULL, 0xafea8a413f1e6b30ULL,
+    0x3fea13065676efd9ULL, 0x5a2883bcedf3f70cULL, 0x6f87a05e68c312e5ULL,
+    0xf0dc752da3046f3eULL, 0x9a4f99a61aa6b0b0ULL, 0x15db0ebc6ac05f98ULL,
+    0x1571243b553c69a6ULL,
+};
+
+/// Every pinned schedule must fire the waves it names, or its pin would
+/// only cover the fault-free path.
+void expect_fired(int c, const FiredWaves& seen) {
+  const int schedule = c % kRecoverySchedules;
+  const bool combined = schedule == 3;
+  EXPECT_TRUE(seen.crashes > 0 || (schedule != 0 && !combined)) << "no crash fired, case " << c;
+  EXPECT_TRUE(seen.partitions > 0 || (schedule != 1 && !combined))
+      << "no partition fired, case " << c;
+  EXPECT_TRUE(seen.reselections > 0 || (schedule != 2 && !combined))
+      << "no churn splice fired, case " << c;
+}
 
 TEST(GoldenDeterminism, ArrowOneShot) {
   for (int seed = 0; seed < kArrowCases; ++seed)
@@ -216,6 +353,24 @@ TEST(GoldenDeterminism, ForwardingClosedLoopOneRoundMatchesOneShot) {
   }
 }
 
+TEST(GoldenDeterminism, ArrowOneShotRecovery) {
+  for (int c = 0; c < kRecoveryCases; ++c) {
+    FiredWaves seen;
+    EXPECT_EQ(arrow_recovery_case_hash(c, &seen), kArrowRecoveryGolden[c])
+        << "arrow recovery case " << c;
+    expect_fired(c, seen);
+  }
+}
+
+TEST(GoldenDeterminism, ArrowClosedLoopRecovery) {
+  for (int c = 0; c < kRecoveryCases; ++c) {
+    FiredWaves seen;
+    EXPECT_EQ(loop_recovery_case_hash(c, &seen), kLoopRecoveryGolden[c])
+        << "closed-loop recovery case " << c;
+    expect_fired(c, seen);
+  }
+}
+
 TEST(GoldenDeterminism, DISABLED_PrintActualHashes) {
   std::printf("kArrowGolden:\n");
   for (int s = 0; s < kArrowCases; ++s) std::printf("0x%016llxULL,\n", (unsigned long long)arrow_case_hash(s));
@@ -225,6 +380,10 @@ TEST(GoldenDeterminism, DISABLED_PrintActualHashes) {
   for (int s = 0; s < kBaselineCases; ++s) std::printf("0x%016llxULL,\n", (unsigned long long)baseline_case_hash(s));
   std::printf("kForwardLoopGolden:\n");
   for (int s = 0; s < kForwardLoopCases; ++s) std::printf("0x%016llxULL,\n", (unsigned long long)forwarding_loop_case_hash(s));
+  std::printf("kArrowRecoveryGolden:\n");
+  for (int c = 0; c < kRecoveryCases; ++c) std::printf("0x%016llxULL,\n", (unsigned long long)arrow_recovery_case_hash(c));
+  std::printf("kLoopRecoveryGolden:\n");
+  for (int c = 0; c < kRecoveryCases; ++c) std::printf("0x%016llxULL,\n", (unsigned long long)loop_recovery_case_hash(c));
 }
 
 }  // namespace
