@@ -27,6 +27,7 @@
 #include "graph/metrics.hpp"
 #include "graph/spanning_tree.hpp"
 #include "sim/latency.hpp"
+#include "support/parse.hpp"
 #include "support/random.hpp"
 #include "workload/workloads.hpp"
 
@@ -58,6 +59,15 @@ void require(bool ok, const char* msg) {
   if (!ok) usage(msg);
 }
 
+/// Refuse a graph with more edges than validate_experiment would accept
+/// before its generator allocates them.
+void require_edges(std::int64_t edges) {
+  if (edges <= kMaxMaterializedEdges) return;
+  const std::string msg = std::to_string(edges) + " graph edges exceed the cap of " +
+                          std::to_string(kMaxMaterializedEdges);
+  usage(msg.c_str());
+}
+
 /// A graph size: a node count, or one grid/torus dimension.
 NodeId parse_size(const std::string& s) {
   const long v = std::atol(s.c_str());
@@ -72,27 +82,39 @@ Graph parse_graph(const std::string& spec, Rng& rng) {
     if (i >= p.size()) usage("missing graph parameter");
     return parse_size(p[i]);
   };
-  if (kind == "path") return make_path(arg(1));
-  if (kind == "ring") {
+  // A node count whose graph fits the materialization cap.
+  auto nodes = [&]() -> NodeId {
     const NodeId n = arg(1);
+    require_edges(kind == "complete" ? std::int64_t{n} * (n - 1) / 2 : n);
+    return n;
+  };
+  if (kind == "path") return make_path(nodes());
+  if (kind == "ring") {
+    const NodeId n = nodes();
     require(n >= 3, "ring needs >= 3 nodes");
     return make_ring(n);
   }
-  if (kind == "complete") return make_complete(arg(1));
-  if (kind == "star") return make_star(arg(1));
-  if (kind == "randtree") return make_random_tree(arg(1), rng);
+  if (kind == "complete") return make_complete(nodes());
+  if (kind == "star") return make_star(nodes());
+  if (kind == "randtree") return make_random_tree(nodes(), rng);
   if (kind == "grid" || kind == "torus") {
     auto rc = split(p.size() > 1 ? p[1] : "", 'x');
     if (rc.size() != 2) usage("grid/torus need RxC");
     const NodeId r = parse_size(rc[0]);
     const NodeId c = parse_size(rc[1]);
+    require_edges(2 * std::int64_t{r} * c);
     if (kind == "grid") return make_grid(r, c);
     require(r >= 3 && c >= 3, "torus dims must be >= 3");
     return make_torus(r, c);
   }
   if (kind == "geometric") {
     if (p.size() < 3) usage("geometric:N:RADIUS");
-    return make_random_geometric(arg(1), std::atof(p[2].c_str()), rng);
+    const NodeId n = nodes();
+    const std::optional<double> radius = parse_f64(p[2]);
+    if (!radius) usage("geometric radius must be a number");
+    // TopologySpec's rule: a radius <= 0 never connects the graph.
+    if (auto err = TopologySpec::geometric(n, 0, *radius).validate()) usage(err->c_str());
+    return make_random_geometric(n, *radius, rng);
   }
   usage("unknown graph kind");
 }
@@ -185,6 +207,8 @@ int main(int argc, char** argv) {
     else usage("unknown flag");
   }
 
+  require(tree_spec != "balanced" || split(graph_spec, ':')[0] == "complete",
+          "--tree balanced needs --graph complete:N");
   Rng rng(seed);
   Graph g = parse_graph(graph_spec, rng);
   Tree t = parse_tree(tree_spec, g, rng);

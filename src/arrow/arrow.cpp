@@ -21,11 +21,7 @@ QueuingOutcome ArrowEngine::run_with(Latency latency, Faults faults,
   sim_ = std::move(driver.engine().sim());  // keeps the run's clock for sim()
   messages_ = driver.engine().stats().edge_messages;
   fault_stats_ = driver.engine().fault_stats();
-  stabilize_rounds_ = driver.stabilize_rounds();
-  stabilize_corrections_ = driver.stabilize_corrections();
-  crashes_applied_ = driver.crashes_applied();
-  partitions_applied_ = driver.partitions_applied();
-  reselections_ = driver.reselections();
+  recovery_ = driver.recovery_counters();
   return out;
 }
 

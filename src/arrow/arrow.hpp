@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "arrow/recovery.hpp"
 #include "graph/tree.hpp"
 #include "proto/queuing.hpp"
 #include "proto/request.hpp"
@@ -82,14 +83,9 @@ class ArrowEngine {
 
   /// Degradation/recovery metrics from the last run (all zero fault-free).
   const FaultStats& fault_stats() const { return fault_stats_; }
-  int stabilize_rounds() const { return stabilize_rounds_; }
-  int stabilize_corrections() const { return stabilize_corrections_; }
-  std::int32_t crashes_applied() const { return crashes_applied_; }
-  /// Partition windows that opened during the run (≤ the schedule length:
-  /// windows after completion never fire).
-  std::int32_t partitions_applied() const { return partitions_applied_; }
-  /// Churn re-selections performed (tree-edge splices of departed nodes).
-  std::int32_t reselections() const { return reselections_; }
+  /// Crash, partition and churn recovery work (windows opened after the
+  /// last completion never fire, so counts can fall short of a schedule).
+  const RecoveryCounters& recovery() const { return recovery_; }
 
  private:
   /// Run the one-shot driver on the serial engine and keep its post-run
@@ -106,11 +102,7 @@ class ArrowEngine {
   std::vector<NodeId> link_;
   std::uint64_t messages_ = 0;
   FaultStats fault_stats_;
-  int stabilize_rounds_ = 0;
-  int stabilize_corrections_ = 0;
-  std::int32_t crashes_applied_ = 0;
-  std::int32_t partitions_applied_ = 0;
-  std::int32_t reselections_ = 0;
+  RecoveryCounters recovery_;
 };
 
 /// Convenience: run arrow once on (tree, requests) under the given latency

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "arrow/recovery.hpp"
 #include "graph/implicit.hpp"
 #include "graph/tree.hpp"
 #include "sim/fault.hpp"
@@ -55,12 +56,8 @@ struct ClosedLoopResult {
   // Degradation/recovery metrics (all zero fault-free).
   std::uint64_t messages_dropped = 0;
   std::uint64_t messages_duplicated = 0;
-  std::int32_t crashes = 0;
-  int stabilize_rounds = 0;
-  int stabilize_corrections = 0;
-  std::int32_t partitions = 0;             // partition windows that opened
   std::uint64_t partition_backlog = 0;     // cross-cut messages queued, drained at heal
-  std::int32_t reselections = 0;           // churn tree-edge splices applied
+  RecoveryCounters recovery;
 };
 
 /// Run the closed-loop workload with the arrow protocol on spanning tree T.

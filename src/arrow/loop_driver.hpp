@@ -6,18 +6,18 @@
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "arrow/closed_loop.hpp"
-#include "arrow/stabilize.hpp"
+#include "arrow/recovery.hpp"
 #include "graph/implicit.hpp"
 #include "graph/tree.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/latency.hpp"
 #include "support/assert.hpp"
-#include "support/random.hpp"
 
 namespace arrowdq::detail {
 
@@ -37,7 +37,7 @@ struct ArrowLoopMsg {
 /// implicit path tick-identical to the materialized one by construction.
 ///
 /// Materialized: a Tree and its Graph, the default 64-byte event slots,
-/// crash recovery available (SelfStabilizer walks the real tree).
+/// fault recovery available (arrow/recovery.hpp walks the real tree).
 struct MaterializedTopo {
   const Tree* tree = nullptr;
   using Index = Graph;
@@ -109,32 +109,13 @@ class ArrowLoopDriver {
       link_[static_cast<std::size_t>(v)] = v == root ? v : topo_.parent(v);
     last_req_[static_cast<std::size_t>(root)] = kRootRequest;
     if constexpr (kRecovery) {
-      crashes_ = crash_schedule(config.fault, topo_.node_count());
-      crash_rng_ = Rng(mix64(config.fault.seed ^ 0xa770c4a54ULL));
-      Faults& filt = eng_.faults();
-      if (!crashes_.empty() || !filt.partitions().empty() || !filt.churns().empty()) {
-        if constexpr (Topo::kMaterialized) {
-          stab_.emplace(*topo_.tree, root);
-          // Remap the raw seeded draws to legal victims and install the
-          // real tree bipartition for each cut (see one_shot_driver.hpp).
-          for (std::size_t k = 0; k < filt.partitions().size(); ++k) {
-            NodeId cut = remap_partition_cut(stab_->anchored(), filt.partitions()[k].victim);
-            if (cut != kNoNode)
-              filt.set_partition_cut(k, cut, subtree_mask(stab_->anchored(), cut));
-          }
-          for (std::size_t k = 0; k < filt.churns().size(); ++k)
-            filt.set_churn_victim(
-                k, remap_churn_victim(stab_->anchored(), filt.churns()[k].victim,
-                                      config.fault.churn_leaf_only != 0));
-        } else {
-          // The registry keeps topology-fault schedules off the implicit
-          // tier (resolve() materializes the tree instead); this is the
-          // backstop for direct callers.
-          ARROWDQ_ASSERT_MSG(false, "topology-fault recovery requires a materialized tree");
-        }
-      }
-      partitions_ = filt.partitions();
-      churns_ = filt.churns();
+      rec_.emplace(*topo_.tree, root, eng_.faults(), link_, last_req_);
+    } else if constexpr (Faults::kActive && !Topo::kMaterialized) {
+      // The registry keeps topology-fault schedules off the implicit tier
+      // (resolve() materializes the tree instead); this is the backstop for
+      // direct callers.
+      ARROWDQ_ASSERT_MSG(!config.fault.has_topology_faults(),
+                         "topology-fault recovery requires a materialized tree");
     }
   }
 
@@ -142,11 +123,8 @@ class ArrowLoopDriver {
 
   ClosedLoopResult run() {
     for (NodeId v = 0; v < topo_.node_count(); ++v) eng_.post_initial(v, 0, IssueEvent{this, v});
-    if constexpr (kRecovery) {
-      if (!crashes_.empty()) sim().at(crashes_[0].at, CrashEvent{this, 0});
-      if (!partitions_.empty()) sim().at(partitions_[0].at, PartitionEvent{this, 0});
-      if (!churns_.empty()) sim().at(churns_[0].at, ChurnEvent{this, 0});
-    }
+    if constexpr (kRecovery)
+      for (RecoveryStep step : rec_->first_steps()) schedule(step);
     eng_.run();
     ClosedLoopResult res;
     res.makespan = eng_.makespan();
@@ -163,11 +141,7 @@ class ArrowLoopDriver {
     res.messages_dropped = fs.messages_dropped;
     res.messages_duplicated = fs.messages_duplicated;
     res.partition_backlog = fs.partition_deferred;
-    res.crashes = crashes_applied_;
-    res.stabilize_rounds = stabilize_rounds_;
-    res.stabilize_corrections = stabilize_corrections_;
-    res.partitions = partitions_applied_;
-    res.reselections = reselections_;
+    if constexpr (kRecovery) res.recovery = rec_->counters();
     return res;
   }
 
@@ -179,7 +153,7 @@ class ArrowLoopDriver {
       return;
     }
     if constexpr (kRecovery) {
-      if (m.epoch != epoch_) {
+      if (m.epoch != epoch_of(rec_)) {
         absorb(ctx, at, m);
         return;
       }
@@ -188,7 +162,8 @@ class ArrowLoopDriver {
     NodeId next = link_[ui];
     link_[ui] = from;
     if (next != at) {
-      ctx.send(at, next, ArrowLoopMsg{LoopKind::kQueue, m.req, m.requester, m.hops + 1, epoch_});
+      ctx.send(at, next,
+               ArrowLoopMsg{LoopKind::kQueue, m.req, m.requester, m.hops + 1, epoch_of(rec_)});
       return;
     }
     // Sink found; return the predecessor identity to the requester.
@@ -197,7 +172,7 @@ class ArrowLoopDriver {
       round_done(ctx, at);
     } else {
       ctx.send_with_latency(at, m.requester, notify_latency(at, m.requester),
-                            ArrowLoopMsg{LoopKind::kNotify, m.req, m.requester, 0, epoch_});
+                            ArrowLoopMsg{LoopKind::kNotify, m.req, m.requester, 0, epoch_of(rec_)});
     }
   }
 
@@ -227,12 +202,17 @@ class ArrowLoopDriver {
     NodeId target = link_[vi];
     last_req_[vi] = a;
     link_[vi] = v;
-    ctx.send(v, target, ArrowLoopMsg{LoopKind::kQueue, a, v, 1, epoch_});
+    ctx.send(v, target, ArrowLoopMsg{LoopKind::kQueue, a, v, 1, epoch_of(rec_)});
+  }
+
+  /// Apply one recovery step (RecoveryEvent) and schedule its follow-up.
+  void recover(RecoveryStep step) {
+    if (auto next = rec_->apply(step, rounds_remaining())) schedule(*next);
   }
 
  private:
-  /// Crash, partition and churn recovery: serial engine only.
-  static constexpr bool kRecovery = Faults::kActive && !Eng::kSharded;
+  /// Crash, partition and churn recovery: serial engine, materialized tree.
+  static constexpr bool kRecovery = Faults::kActive && !Eng::kSharded && Topo::kMaterialized;
 
   /// The one event the driver schedules on every engine: issue node v's
   /// next request.
@@ -243,30 +223,6 @@ class ArrowLoopDriver {
   };
   static_assert(Topo::Sim::template fits_inline_v<IssueEvent>,
                 "IssueEvent must stay on the simulator's inline path");
-
-  struct CrashEvent {
-    ArrowLoopDriver* driver;
-    std::size_t k;
-    void operator()() const { driver->on_crash(k); }
-  };
-
-  struct PartitionEvent {
-    ArrowLoopDriver* driver;
-    std::size_t k;
-    void operator()() const { driver->on_partition(k); }
-  };
-
-  struct HealEvent {
-    ArrowLoopDriver* driver;
-    std::size_t k;
-    void operator()() const { driver->on_heal(k); }
-  };
-
-  struct ChurnEvent {
-    ArrowLoopDriver* driver;
-    std::size_t k;
-    void operator()() const { driver->on_churn(k); }
-  };
 
   /// A stale queue message whose side has no sink during a partition
   /// window: park it until the window closes, then re-enter receive(). May
@@ -301,208 +257,32 @@ class ArrowLoopDriver {
     ctx.in(config_.service_time, IssueEvent{this, v});
   }
 
-  NodeId current_sink() const {
-    for (NodeId v = 0; v < static_cast<NodeId>(link_.size()); ++v)
-      if (link_[static_cast<std::size_t>(v)] == v) return v;
-    ARROWDQ_ASSERT_MSG(false, "no sink available to absorb a stale request");
-    return kNoNode;
+  void schedule(RecoveryStep step) {
+    sim().at(rec_->at(step), RecoveryEvent<ArrowLoopDriver>{this, step});
   }
 
-  /// A pre-crash queue message: the pointer path it was chasing is gone, so
-  /// the live sink queues the request behind its tail and answers the
-  /// requester directly — the round completes, just via recovery. During a
-  /// partition window the sink scan is restricted to the receiver's side of
-  /// the cut; a sinkless side parks the message until the heal instant.
+  /// A stale queue message: the pointer path it was chasing is gone, so the
+  /// live sink queues the request behind its tail and answers the requester
+  /// directly — the round completes, just via recovery.
   void absorb(Ctx& ctx, NodeId at, const ArrowLoopMsg& m) {
-    NodeId sink = kNoNode;
-    const std::size_t w = eng_.faults().active_partition(ctx.now());
-    if (w != Faults::kNoWindow) {
-      const auto& side = eng_.faults().partition_side(w);
-      if (!side.empty()) {
-        const std::uint8_t tag = side[static_cast<std::size_t>(at)];
-        for (NodeId v = 0; v < static_cast<NodeId>(link_.size()); ++v) {
-          auto vi = static_cast<std::size_t>(v);
-          if (side[vi] == tag && link_[vi] == v) {
-            sink = v;
-            break;
-          }
-        }
-        if (sink == kNoNode) {
-          ctx.at(partitions_[w].up_at, ParkedEvent{this, at, m});
-          return;
-        }
-      }
+    const AbsorbSite site = rec_->absorb_site(at, ctx.now());
+    if (site.sink == kNoNode) {
+      ctx.at(site.park_until, ParkedEvent{this, at, m});
+      return;
     }
-    if (sink == kNoNode) sink = current_sink();
-    auto si = static_cast<std::size_t>(sink);
-    ARROWDQ_ASSERT_MSG(last_req_[si] != kNoRequest, "absorbing sink without a tail");
-    last_req_[si] = m.req;
+    const NodeId sink = site.sink;
+    last_req_[static_cast<std::size_t>(sink)] = m.req;
     if (m.requester == sink) {
       round_done(ctx, sink);
     } else {
       ctx.send_with_latency(sink, m.requester, notify_latency(sink, m.requester),
-                            ArrowLoopMsg{LoopKind::kNotify, m.req, m.requester, 0, epoch_});
+                            ArrowLoopMsg{LoopKind::kNotify, m.req, m.requester, 0, epoch_of(rec_)});
     }
   }
 
   bool rounds_remaining() const {
     return sum_lanes(tally_).rounds <
            static_cast<std::int64_t>(topo_.node_count()) * config_.requests_per_node;
-  }
-
-  void on_crash(std::size_t k) {
-    if (rounds_remaining()) {
-      corrupt_and_recover(crashes_[k].victim);
-      if (k + 1 < crashes_.size()) sim().at(crashes_[k + 1].at, CrashEvent{this, k + 1});
-    }
-  }
-
-  /// Snapshot the pre-wave sink landscape (smallest live sink + whether the
-  /// anchor already is one).
-  void snapshot_sinks(NodeId& first_sink, bool& anchor_was_sink) const {
-    const NodeId anchor = topo_.root();
-    first_sink = kNoNode;
-    anchor_was_sink = false;
-    for (NodeId v = 0; v < static_cast<NodeId>(link_.size()); ++v) {
-      if (link_[static_cast<std::size_t>(v)] == v) {
-        if (first_sink == kNoNode) first_sink = v;
-        if (v == anchor) anchor_was_sink = true;
-      }
-    }
-  }
-
-  /// The shared global recovery wave (crash, churn splice, partition heal):
-  /// see arrow/one_shot_driver.hpp for the invariant argument.
-  void recover_global([[maybe_unused]] NodeId first_sink,
-                      [[maybe_unused]] bool anchor_was_sink) {
-    if constexpr (!Topo::kMaterialized) {
-      ARROWDQ_ASSERT_MSG(false, "topology-fault recovery requires a materialized tree");
-    } else {
-      const NodeId n = topo_.node_count();
-      const NodeId anchor = topo_.root();
-      ARROWDQ_ASSERT_MSG(first_sink != kNoNode, "recovery wave with no live sink");
-      RequestId adopted = last_req_[static_cast<std::size_t>(first_sink)];
-
-      ++epoch_;
-
-      auto h = stab_->estimate_hops(link_);
-      StabilizeResult res = stab_->stabilize(link_, h, 4 * n + 8);
-      ARROWDQ_ASSERT_MSG(res.converged, "self-stabilization did not converge");
-      stabilize_rounds_ += res.rounds;
-      stabilize_corrections_ += res.corrections;
-
-      if (!anchor_was_sink) {
-        ARROWDQ_ASSERT_MSG(adopted != kNoRequest, "pre-wave sink without a tail");
-        last_req_[static_cast<std::size_t>(anchor)] = adopted;
-      }
-    }
-  }
-
-  void corrupt_and_recover([[maybe_unused]] NodeId victim) {
-    if constexpr (!Topo::kMaterialized) {
-      ARROWDQ_ASSERT_MSG(false, "crash recovery requires a materialized tree");
-    } else {
-      const NodeId n = topo_.node_count();
-      const NodeId anchor = topo_.root();
-      // Snapshot pending tails before corrupting anything.
-      NodeId first_sink = kNoNode;
-      bool anchor_was_sink = false;
-      snapshot_sinks(first_sink, anchor_was_sink);
-      ARROWDQ_ASSERT_MSG(first_sink != kNoNode, "crash with no live sink");
-
-      auto wi = static_cast<std::size_t>(victim);
-      switch (crash_rng_.next_below(3)) {
-        case 0: link_[wi] = victim; break;
-        case 1:
-          link_[wi] = static_cast<NodeId>(crash_rng_.next_below(static_cast<std::uint64_t>(n)));
-          break;
-        default: link_[wi] = victim == anchor ? victim : topo_.parent(victim); break;
-      }
-
-      recover_global(first_sink, anchor_was_sink);
-      ++crashes_applied_;
-    }
-  }
-
-  /// Partition onset: one epoch bump, then each side holding a pre-onset
-  /// sink reconciles toward its side anchor and adopts the side's smallest
-  /// pre-onset tail (as in the one-shot driver).
-  void on_partition([[maybe_unused]] std::size_t k) {
-    if constexpr (!Topo::kMaterialized) {
-      ARROWDQ_ASSERT_MSG(false, "topology-fault recovery requires a materialized tree");
-    } else {
-      if (!rounds_remaining()) return;
-      const NodeId n = topo_.node_count();
-      const NodeId cut = partitions_[k].victim;
-      const auto& side = eng_.faults().partition_side(k);
-      ++partitions_applied_;
-      if (side.empty() || cut == kNoNode) {
-        sim().at(partitions_[k].up_at, HealEvent{this, k});
-        return;
-      }
-      NodeId first_sink[2] = {kNoNode, kNoNode};
-      bool anchor_sink[2] = {false, false};
-      const NodeId side_anchor[2] = {topo_.root(), cut};
-      for (NodeId v = 0; v < n; ++v) {
-        auto vi = static_cast<std::size_t>(v);
-        if (link_[vi] != v) continue;
-        const std::uint8_t s = side[vi];
-        if (first_sink[s] == kNoNode) first_sink[s] = v;
-        if (v == side_anchor[s]) anchor_sink[s] = true;
-      }
-
-      ++epoch_;
-      auto h = stab_->estimate_hops(link_);
-      for (int s = 0; s < 2; ++s) {
-        if (first_sink[s] == kNoNode) continue;  // frozen side
-        RequestId adopted = last_req_[static_cast<std::size_t>(first_sink[s])];
-        StabilizeResult res = stab_->stabilize_side(link_, h, 4 * n + 8, side,
-                                                    static_cast<std::uint8_t>(s),
-                                                    side_anchor[s]);
-        ARROWDQ_ASSERT_MSG(res.converged, "side stabilization did not converge");
-        stabilize_rounds_ += res.rounds;
-        stabilize_corrections_ += res.corrections;
-        if (!anchor_sink[s]) {
-          ARROWDQ_ASSERT_MSG(adopted != kNoRequest, "pre-onset sink without a tail");
-          last_req_[static_cast<std::size_t>(side_anchor[s])] = adopted;
-        }
-      }
-      sim().at(partitions_[k].up_at, HealEvent{this, k});
-    }
-  }
-
-  /// Partition heal: merge the two pointer regimes with the shared global
-  /// wave; the filter's queued cross-cut backlog drains at this instant.
-  /// The merge runs even when the round budget is spent — quiescence must
-  /// leave a unique sink — but a finished run schedules no further windows.
-  void on_heal(std::size_t k) {
-    NodeId first_sink = kNoNode;
-    bool anchor_was_sink = false;
-    snapshot_sinks(first_sink, anchor_was_sink);
-    recover_global(first_sink, anchor_was_sink);
-    if (rounds_remaining() && k + 1 < partitions_.size())
-      sim().at(partitions_[k + 1].at, PartitionEvent{this, k + 1});
-  }
-
-  /// Churn: splice the departed victim toward the root and re-center the
-  /// queue with the shared global wave; the filter's node-down window
-  /// covers its absence until rejoin.
-  void on_churn([[maybe_unused]] std::size_t k) {
-    if constexpr (!Topo::kMaterialized) {
-      ARROWDQ_ASSERT_MSG(false, "topology-fault recovery requires a materialized tree");
-    } else {
-      if (!rounds_remaining()) return;
-      const NodeId victim = churns_[k].victim;
-      if (victim != kNoNode && victim != topo_.root()) {
-        NodeId first_sink = kNoNode;
-        bool anchor_was_sink = false;
-        snapshot_sinks(first_sink, anchor_was_sink);
-        link_[static_cast<std::size_t>(victim)] = stab_->anchored().parent(victim);
-        recover_global(first_sink, anchor_was_sink);
-        ++reselections_;
-      }
-      if (k + 1 < churns_.size()) sim().at(churns_[k + 1].at, ChurnEvent{this, k + 1});
-    }
   }
 
   Topo topo_;
@@ -514,17 +294,9 @@ class ArrowLoopDriver {
   std::vector<typename Topo::RoundCount> issued_;
   std::vector<Time> issue_time_;
   std::vector<LaneTally> tally_;
-  std::int32_t epoch_ = 0;
-  std::vector<CrashEventSpec> crashes_;
-  std::vector<CrashEventSpec> partitions_;
-  std::vector<CrashEventSpec> churns_;
-  Rng crash_rng_{0};
-  std::optional<SelfStabilizer> stab_;
-  int stabilize_rounds_ = 0;
-  int stabilize_corrections_ = 0;
-  std::int32_t crashes_applied_ = 0;
-  std::int32_t partitions_applied_ = 0;
-  std::int32_t reselections_ = 0;
+  // Recovery runs on the serial engine only; elsewhere the driver holds none.
+  [[no_unique_address]] std::conditional_t<kRecovery, std::optional<ArrowRecovery>, NoRecovery>
+      rec_;
 };
 
 /// Run the closed loop on `topo` with the given engine selector: one-time

@@ -137,7 +137,6 @@ namespace {
 // (edge count, APSP table size) depend on the protocol and live in
 // validate_experiment().
 constexpr NodeId kMaxNodes = NodeId{1} << 28;
-constexpr std::int64_t kMaxMaterializedEdges = std::int64_t{1} << 26;
 constexpr NodeId kMaxApspNodes = 8192;
 // make_hypercube() stores 2^dims * dims directed edges; past this the graph
 // must stay implicit.
@@ -295,6 +294,15 @@ void fill_one_shot(RunResult& r, const Experiment& e, const RequestSet& requests
           ? 0.0
           : static_cast<double>(r.total_hops) / static_cast<double>(requests.size());
   if (e.keep_outcome) r.outcome = std::move(out);
+}
+
+/// The arrow drivers' recovery work, as RunResult reports it.
+void fill_recovery(RunResult& r, const RecoveryCounters& rc) {
+  r.crashes = rc.crashes;
+  r.stabilize_rounds = rc.stabilize_rounds;
+  r.stabilize_corrections = rc.stabilize_corrections;
+  r.partitions = rc.partitions;
+  r.reselections = rc.reselections;
 }
 
 bool is_baseline(const Experiment& e) {
@@ -479,12 +487,8 @@ RunResult run_protocol<Protocol::kArrowOneShot>(const Experiment& e, const Resol
   res.messages = engine.messages_sent();
   res.messages_dropped = engine.fault_stats().messages_dropped;
   res.messages_duplicated = engine.fault_stats().messages_duplicated;
-  res.crashes = engine.crashes_applied();
-  res.stabilize_rounds = engine.stabilize_rounds();
-  res.stabilize_corrections = engine.stabilize_corrections();
-  res.partitions = engine.partitions_applied();
   res.partition_backlog_drained = engine.fault_stats().partition_deferred;
-  res.reselections = engine.reselections();
+  fill_recovery(res, engine.recovery());
   fill_one_shot(res, e, r.requests, std::move(out));
   return res;
 }
@@ -524,12 +528,8 @@ RunResult run_protocol<Protocol::kArrowClosedLoop>(const Experiment& e, const Re
   res.avg_round_latency_units = loop.avg_round_latency_units;
   res.messages_dropped = loop.messages_dropped;
   res.messages_duplicated = loop.messages_duplicated;
-  res.crashes = loop.crashes;
-  res.stabilize_rounds = loop.stabilize_rounds;
-  res.stabilize_corrections = loop.stabilize_corrections;
-  res.partitions = loop.partitions;
   res.partition_backlog_drained = loop.partition_backlog;
-  res.reselections = loop.reselections;
+  fill_recovery(res, loop.recovery);
   return res;
 }
 

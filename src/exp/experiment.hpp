@@ -437,6 +437,10 @@ struct Experiment {
   Experiment with_seed(std::uint64_t seed) const;
 };
 
+/// The most undirected edges a run materializes: validate_experiment refuses
+/// more, and CLI front ends check it before they generate a graph.
+inline constexpr std::int64_t kMaxMaterializedEdges = std::int64_t{1} << 26;
+
 /// Pre-flight check for run_experiment: TopologySpec::validate() plus
 /// materialization guards. Refuses combinations that would materialize an
 /// absurd structure — e.g. `complete` at n = 10^6 (~10^12 edges) on a path

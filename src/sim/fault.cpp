@@ -284,8 +284,8 @@ std::vector<CrashEventSpec> partition_schedule(const FaultSpec& spec, NodeId nod
     c.at = static_cast<Time>(k + 1) * period;
     c.up_at = c.at + down;
     // victim names the cut node: the tree edge (victim, parent(victim)) is
-    // severed, isolating victim's subtree. Drivers remap this draw away from
-    // the anchor (the root has no parent edge) via remap_partition_cut().
+    // severed, isolating victim's subtree. ArrowRecovery remaps this draw
+    // away from the anchor (the root has no parent edge).
     c.victim = static_cast<NodeId>(
         mix64(spec.seed ^ (0xc2b2ae3d27d4eb4fULL * static_cast<std::uint64_t>(k + 1))) %
         static_cast<std::uint64_t>(node_count));

@@ -25,7 +25,7 @@
 //  * crash: at deterministic schedule points a victim node goes down for a
 //    window; deliveries that would land inside the window are deferred to
 //    its end. The arrow drivers additionally corrupt the victim's pointer
-//    state and run a SelfStabilizer recovery wave (see arrow/arrow.hpp).
+//    state and run a SelfStabilizer recovery wave (see arrow/recovery.hpp).
 //  * partition: a seeded cut isolates a subtree for a window. Messages that
 //    would cross the cut are queued, not dropped: the send is deferred to
 //    the heal instant, and the per-edge FIFO horizon moves with it, so the

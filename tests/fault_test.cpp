@@ -381,7 +381,7 @@ TEST(FaultProperty, ArrowRunsAreDeterministicPerSpec) {
     QueuingOutcome out = engine.run(inst.requests);
     return std::tuple(engine.messages_sent(), engine.fault_stats().messages_dropped,
                       engine.fault_stats().messages_duplicated, engine.sink_node(),
-                      engine.stabilize_rounds(), out.total_hops());
+                      engine.recovery().stabilize_rounds, out.total_hops());
   };
   EXPECT_EQ(run_once(), run_once());
 }
@@ -423,7 +423,7 @@ TEST(FaultProperty, ArrowHealsFromRandomizedPartitionSchedules) {
     engine.set_fault(fault);
     QueuingOutcome out = engine.run(inst.requests);
     expect_heals_and_completes(seed, inst, fault, engine, out);
-    EXPECT_LE(engine.partitions_applied(), fault.partition_count);
+    EXPECT_LE(engine.recovery().partitions, fault.partition_count);
   }
 }
 
@@ -441,7 +441,7 @@ TEST(FaultProperty, ArrowHealsFromRandomizedChurnSchedules) {
     engine.set_fault(fault);
     QueuingOutcome out = engine.run(inst.requests);
     expect_heals_and_completes(seed, inst, fault, engine, out);
-    EXPECT_GE(engine.reselections(), 0);
+    EXPECT_GE(engine.recovery().reselections, 0);
   }
 }
 

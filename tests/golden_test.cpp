@@ -44,13 +44,6 @@ class Fnv1a {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-/// Which recovery waves a pinned fault case actually fired.
-struct FiredWaves {
-  std::int32_t crashes = 0;
-  std::int32_t partitions = 0;
-  std::int32_t reselections = 0;
-};
-
 void hash_outcome(Fnv1a& h, const QueuingOutcome& out) {
   for (RequestId id : out.order()) h.add_signed(id);
   for (RequestId id = 1; id <= out.request_count(); ++id) {
@@ -176,21 +169,20 @@ FaultSpec recovery_fault(int schedule, int instance) {
   return f;
 }
 
-/// Hash of the recovery counters shared by both drivers' results.
-void hash_recovery(Fnv1a& h, int rounds, int corrections, std::int32_t crashes,
-                   std::int32_t partitions, std::int32_t reselections) {
-  h.add_signed(rounds);
-  h.add_signed(corrections);
-  h.add_signed(crashes);
-  h.add_signed(partitions);
-  h.add_signed(reselections);
+/// Hash of the recovery counters both drivers report.
+void hash_recovery(Fnv1a& h, const RecoveryCounters& rc) {
+  h.add_signed(rc.stabilize_rounds);
+  h.add_signed(rc.stabilize_corrections);
+  h.add_signed(rc.crashes);
+  h.add_signed(rc.partitions);
+  h.add_signed(rc.reselections);
 }
 
 /// One-shot arrow under a topology-fault schedule. Instance 1 runs an async
 /// latency model; instance 3 roots the caller's tree away from the request
 /// root, so crash corruption (which reads the caller's tree) and the
 /// anchored tree (which the waves converge to) differ.
-std::uint64_t arrow_recovery_case_hash(int c, FiredWaves* seen = nullptr) {
+std::uint64_t arrow_recovery_case_hash(int c, RecoveryCounters* seen = nullptr) {
   const int schedule = c % kRecoverySchedules;
   const int instance = c / kRecoverySchedules;
   constexpr int kSeeds[kRecoveryInstances] = {3, 5, 7, 11};
@@ -215,15 +207,14 @@ std::uint64_t arrow_recovery_case_hash(int c, FiredWaves* seen = nullptr) {
   h.add(engine.messages_sent());
   h.add_signed(engine.sim().now());
   h.add(engine.fault_stats().partition_deferred);
-  hash_recovery(h, engine.stabilize_rounds(), engine.stabilize_corrections(),
-                engine.crashes_applied(), engine.partitions_applied(), engine.reselections());
-  if (seen) *seen = {engine.crashes_applied(), engine.partitions_applied(), engine.reselections()};
+  hash_recovery(h, engine.recovery());
+  if (seen) *seen = engine.recovery();
   return h.value();
 }
 
 /// Closed-loop arrow under a topology-fault schedule. Instance 2 runs an
 /// async latency model; instance 3 adds a serial service time.
-std::uint64_t loop_recovery_case_hash(int c, FiredWaves* seen = nullptr) {
+std::uint64_t loop_recovery_case_hash(int c, RecoveryCounters* seen = nullptr) {
   const int schedule = c % kRecoverySchedules;
   const int instance = c / kRecoverySchedules;
   constexpr int kSeeds[kRecoveryInstances] = {0, 4, 6, 9};
@@ -242,9 +233,8 @@ std::uint64_t loop_recovery_case_hash(int c, FiredWaves* seen = nullptr) {
   h.add(res.notify_messages);
   h.add(res.partition_backlog);
   h.add(static_cast<std::uint64_t>(res.avg_round_latency_units * 1e6));
-  hash_recovery(h, res.stabilize_rounds, res.stabilize_corrections, res.crashes, res.partitions,
-                res.reselections);
-  if (seen) *seen = {res.crashes, res.partitions, res.reselections};
+  hash_recovery(h, res.recovery);
+  if (seen) *seen = res.recovery;
   return h.value();
 }
 
@@ -294,7 +284,7 @@ constexpr std::uint64_t kLoopRecoveryGolden[kRecoveryCases] = {
 
 /// Every pinned schedule must fire the waves it names, or its pin would
 /// only cover the fault-free path.
-void expect_fired(int c, const FiredWaves& seen) {
+void expect_fired(int c, const RecoveryCounters& seen) {
   const int schedule = c % kRecoverySchedules;
   const bool combined = schedule == 3;
   EXPECT_TRUE(seen.crashes > 0 || (schedule != 0 && !combined)) << "no crash fired, case " << c;
@@ -355,7 +345,7 @@ TEST(GoldenDeterminism, ForwardingClosedLoopOneRoundMatchesOneShot) {
 
 TEST(GoldenDeterminism, ArrowOneShotRecovery) {
   for (int c = 0; c < kRecoveryCases; ++c) {
-    FiredWaves seen;
+    RecoveryCounters seen;
     EXPECT_EQ(arrow_recovery_case_hash(c, &seen), kArrowRecoveryGolden[c])
         << "arrow recovery case " << c;
     expect_fired(c, seen);
@@ -364,7 +354,7 @@ TEST(GoldenDeterminism, ArrowOneShotRecovery) {
 
 TEST(GoldenDeterminism, ArrowClosedLoopRecovery) {
   for (int c = 0; c < kRecoveryCases; ++c) {
-    FiredWaves seen;
+    RecoveryCounters seen;
     EXPECT_EQ(loop_recovery_case_hash(c, &seen), kLoopRecoveryGolden[c])
         << "closed-loop recovery case " << c;
     expect_fired(c, seen);
