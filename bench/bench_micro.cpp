@@ -1,12 +1,19 @@
 // Engine microbenchmarks (google-benchmark): event-queue throughput, tree
-// distance queries, and end-to-end arrow simulation rates. These guard the
-// simulator's performance so the Figure 10 experiment stays cheap to re-run
-// at the paper's full 100000 requests/processor scale.
+// distance queries, lazy dG row fills, and end-to-end arrow simulation
+// rates. These guard the simulator's performance so the Figure 10
+// experiment stays cheap to re-run at the paper's full 100000
+// requests/processor scale.
 #include <benchmark/benchmark.h>
+
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "arrow/arrow.hpp"
 #include "arrow/closed_loop.hpp"
+#include "exp/experiment.hpp"
 #include "graph/generators.hpp"
+#include "graph/shortest_paths.hpp"
 #include "graph/spanning_tree.hpp"
 #include "sim/latency.hpp"
 #include "sim/simulator.hpp"
@@ -43,6 +50,30 @@ void BM_TreeDistanceQueries(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TreeDistanceQueries)->Arg(64)->Arg(1024)->Arg(16384);
+
+// Lazy AllPairs row fills at n = 512. range(0) picks the family (0:
+// geometric, 1: random tree); range(1) == 0 fills one row of a fresh table
+// (plain Dijkstra), 1 fills every row in a seeded random order, so later
+// fills reuse the rows before them. Items are rows filled.
+void BM_AllPairsFill(benchmark::State& state) {
+  const TopologySpec spec = state.range(0) == 0 ? TopologySpec::geometric(512, /*seed=*/3)
+                                                : TopologySpec::random_tree(512, /*seed=*/3);
+  const Graph g = spec.build_graph();
+  std::vector<NodeId> order(static_cast<std::size_t>(g.node_count()));
+  std::iota(order.begin(), order.end(), NodeId{0});
+  Rng(7).shuffle(order);
+  if (state.range(1) == 0) order.resize(1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    const AllPairs table(g);
+    state.ResumeTiming();
+    for (const NodeId u : order) benchmark::DoNotOptimize(table.row(u).data());
+  }
+  state.SetLabel(std::string(spec.family_name()) +
+                 (state.range(1) == 0 ? " first row" : " all rows"));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(order.size()));
+}
+BENCHMARK(BM_AllPairsFill)->ArgsProduct({{0, 1}, {0, 1}})->Unit(benchmark::kMicrosecond);
 
 void BM_ArrowOneShot(benchmark::State& state) {
   const auto n = static_cast<NodeId>(state.range(0));

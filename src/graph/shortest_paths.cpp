@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <mutex>
 #include <queue>
+#include <utility>
 
 namespace arrowdq {
 
@@ -61,22 +62,54 @@ class RadixHeap {
   std::size_t size_ = 0;
 };
 
+/// The distance-only Dijkstra's scratch: the heap and one mark per node.
+struct DijkstraScratch {
+  explicit DijkstraScratch(NodeId n) : covered(static_cast<std::size_t>(n)) {}
+  RadixHeap heap;
+  std::vector<std::uint8_t> covered;
+};
+
 /// Distance-only Dijkstra from `source` into dist[0, n); `adj(v)` yields
-/// node v's half-edges.
-template <typename Adj>
-void dijkstra_dist(const Adj& adj, NodeId n, NodeId source, Weight* dist, RadixHeap& heap) {
-  std::fill(dist, dist + n, kUnreachable);
+/// node v's half-edges and `row(v)` node v's filled dG row, or nullptr.
+///
+/// A popped node x with a filled row relaxes every y through dG(x, y) in
+/// one pass over that row instead of over x's arcs, and marks each y the
+/// pass reaches at <= its current distance as covered. A covered node is
+/// skipped when popped, since x's pass already offered everything its arcs
+/// could (AllPairs gives the argument); an arc that strictly improves a
+/// node clears its mark. With no row filled this is plain Dijkstra.
+/// Distances are compared as unsigned (the unsigned twin of Weight may
+/// alias it), so kUnreachable reads as infinity; a y unreachable from x is
+/// unreachable from the source too, so marking it changes nothing.
+template <typename Adj, typename Row>
+void dijkstra_dist(const Adj& adj, const Row& row, NodeId n, NodeId source, Weight* out,
+                   DijkstraScratch& s) {
+  constexpr auto kInf = static_cast<std::uint64_t>(kUnreachable);
+  auto* dist = reinterpret_cast<std::uint64_t*>(out);
+  std::uint8_t* covered = s.covered.data();
+  std::fill(dist, dist + n, kInf);
+  std::fill(covered, covered + n, std::uint8_t{0});
   dist[source] = 0;
-  heap.push(0, source);
-  while (!heap.empty()) {
-    auto [d, v] = heap.pop();
-    if (d != dist[v]) continue;  // stale entry
-    for (const HalfEdge& he : adj(v)) {
-      const Weight nd = d + he.weight;
-      Weight& cur = dist[he.to];
-      if (cur == kUnreachable || nd < cur) {
-        cur = nd;
-        heap.push(nd, he.to);
+  s.heap.push(0, source);
+  while (!s.heap.empty()) {
+    const auto [d, x] = s.heap.pop();
+    const auto dx = static_cast<std::uint64_t>(d);
+    if (dx != dist[x] || covered[x]) continue;  // stale entry, or matched via a row
+    if (const Weight* rx = row(x)) {
+      for (NodeId y = 0; y < n; ++y) {  // branch-free, so it vectorizes
+        const auto r = static_cast<std::uint64_t>(rx[y]);
+        const std::uint64_t via = r == kInf ? kInf : dx + r;
+        covered[y] |= static_cast<std::uint8_t>(via <= dist[y]);
+        dist[y] = std::min(dist[y], via);
+      }
+      continue;
+    }
+    for (const HalfEdge& he : adj(x)) {
+      const std::uint64_t nd = dx + static_cast<std::uint64_t>(he.weight);
+      if (nd < dist[he.to]) {
+        dist[he.to] = nd;
+        covered[he.to] = 0;
+        s.heap.push(static_cast<Weight>(nd), he.to);
       }
     }
   }
@@ -111,9 +144,10 @@ std::vector<Weight> sssp_with_parents(const Graph& g, NodeId source,
 std::vector<Weight> sssp(const Graph& g, NodeId source) {
   ARROWDQ_ASSERT(source >= 0 && source < g.node_count());
   std::vector<Weight> dist(static_cast<std::size_t>(g.node_count()));
-  RadixHeap heap;
-  dijkstra_dist([&g](NodeId v) { return g.neighbors(v); }, g.node_count(), source, dist.data(),
-                heap);
+  DijkstraScratch scratch(g.node_count());
+  dijkstra_dist([&g](NodeId v) { return g.neighbors(v); },
+                [](NodeId) -> const Weight* { return nullptr; }, g.node_count(), source,
+                dist.data(), scratch);
   return dist;
 }
 
@@ -137,15 +171,16 @@ std::vector<Weight> bfs_hops(const Graph& g, NodeId source) {
 }
 
 struct AllPairs::Fill {
+  explicit Fill(NodeId n) : scratch(n) {}
   std::mutex mu;
   std::vector<std::unique_ptr<Weight[]>> rows;  // owns every published row
-  RadixHeap heap;
+  DijkstraScratch scratch;
 };
 
 AllPairs::AllPairs(const Graph& g)
     : n_(g.node_count()),
       ready_(std::make_unique<std::atomic<const Weight*>[]>(static_cast<std::size_t>(n_))),
-      fill_(std::make_unique<Fill>()) {
+      fill_(std::make_unique<Fill>(n_)) {
   offsets_.reserve(static_cast<std::size_t>(n_) + 1);
   arcs_.reserve(g.dir_edge_count());
   offsets_.push_back(0);
@@ -170,7 +205,10 @@ const Weight* AllPairs::filled_row(NodeId u) const {
     return std::span<const HalfEdge>(arcs_.data() + offsets_[static_cast<std::size_t>(v)],
                                      arcs_.data() + offsets_[static_cast<std::size_t>(v) + 1]);
   };
-  dijkstra_dist(adj, n_, u, row.get(), fill_->heap);
+  const auto filled = [this](NodeId v) {
+    return ready_[static_cast<std::size_t>(v)].load(std::memory_order_acquire);
+  };
+  dijkstra_dist(adj, filled, n_, u, row.get(), fill_->scratch);
   const Weight* r = row.get();
   fill_->rows.push_back(std::move(row));
   slot.store(r, std::memory_order_release);
@@ -187,41 +225,41 @@ NodeId AllPairs::rows_filled() const {
   return static_cast<NodeId>(fill_->rows.size());
 }
 
+namespace {
+/// max over v of dG(u, v) for one row; asserts that every v is reachable.
+Weight eccentricity(std::span<const Weight> row, const char* what) {
+  Weight ecc = 0;
+  for (Weight d : row) {
+    ARROWDQ_ASSERT_MSG(d != kUnreachable, what);
+    ecc = std::max(ecc, d);
+  }
+  return ecc;
+}
+
+/// The lowest-id node of least eccentricity, and that eccentricity.
+std::pair<NodeId, Weight> least_eccentricity(const AllPairs& ap, const char* what) {
+  std::pair<NodeId, Weight> best{kNoNode, kUnreachable};
+  for (NodeId u = 0; u < ap.node_count(); ++u) {
+    const Weight ecc = eccentricity(ap.row(u), what);
+    if (best.first == kNoNode || ecc < best.second) best = {u, ecc};
+  }
+  return best;
+}
+}  // namespace
+
 Weight AllPairs::diameter() const {
   Weight best = 0;
   for (NodeId u = 0; u < n_; ++u)
-    for (Weight d : row(u)) {
-      ARROWDQ_ASSERT_MSG(d != kUnreachable, "diameter of a disconnected graph");
-      best = std::max(best, d);
-    }
+    best = std::max(best, eccentricity(row(u), "diameter of a disconnected graph"));
   return best;
 }
 
 Weight AllPairs::radius() const {
-  Weight best = kUnreachable;
-  for (NodeId u = 0; u < n_; ++u) {
-    Weight ecc = 0;
-    for (Weight d : row(u)) {
-      ARROWDQ_ASSERT_MSG(d != kUnreachable, "radius of a disconnected graph");
-      ecc = std::max(ecc, d);
-    }
-    if (best == kUnreachable || ecc < best) best = ecc;
-  }
-  return best;
+  return least_eccentricity(*this, "radius of a disconnected graph").second;
 }
 
 NodeId AllPairs::center() const {
-  Weight best = kUnreachable;
-  NodeId center = kNoNode;
-  for (NodeId v = 0; v < n_; ++v) {
-    Weight ecc = 0;
-    for (Weight d : row(v)) ecc = std::max(ecc, d);
-    if (best == kUnreachable || ecc < best) {
-      best = ecc;
-      center = v;
-    }
-  }
-  return center;
+  return least_eccentricity(*this, "center of a disconnected graph").first;
 }
 
 }  // namespace arrowdq

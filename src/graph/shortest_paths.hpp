@@ -39,6 +39,18 @@ std::vector<Weight> bfs_hops(const Graph& g, NodeId source);
 /// undirected, so either row holds the exact value, and a caller that only
 /// asks for distances to one node (the centralized baseline) fills one row.
 ///
+/// A fill reuses the rows already in the table. When its Dijkstra from u
+/// settles a node x whose row is filled, it offers every y the distance
+/// d(u, x) + dG(x, y) in one pass over that row, not over x's arcs, and
+/// marks each y it reaches at no more than y's current distance as covered.
+/// A covered y never expands: its distance is d(u, x) + dG(x, y), so for
+/// any z, that plus w(y, z) is at least d(u, x) + dG(x, z), which x's pass
+/// already offered z. An arc that strictly improves y clears its mark, so
+/// y expands at its new distance. Every offer is the length of a real path
+/// and every shortest path is still matched, so each row is exactly the
+/// plain Dijkstra row (sssp) in any fill order; the first row of a table is
+/// plain Dijkstra.
+///
 /// Safe to share across threads: rows are filled under a lock and published
 /// with release/acquire, so concurrent const queries are race-free.
 class AllPairs {
@@ -63,13 +75,14 @@ class AllPairs {
 
   /// Maximum finite pairwise distance (graph diameter); asserts connectivity.
   Weight diameter() const;
-  /// Minimum over u of max over v of dist (graph radius).
+  /// Minimum over u of max over v of dist (graph radius); asserts connectivity.
   Weight radius() const;
-  /// A node achieving the radius (a center of the graph).
+  /// The lowest-id node achieving the radius (a center of the graph);
+  /// asserts connectivity.
   NodeId center() const;
 
  private:
-  struct Fill;  // the lock, the owned rows and the Dijkstra scratch
+  struct Fill;  // the lock, the owned rows and the Dijkstra scratch (heap, marks)
 
   const Weight* filled_row(NodeId u) const;
 

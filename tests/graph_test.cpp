@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "exp/experiment.hpp"
@@ -126,12 +130,17 @@ TEST(AllPairsTest, LazyTableMatchesEagerReference) {
   expect_matches_eager(make_erdos_renyi(90, 0.08, rng), "erdos-renyi");
 }
 
-TEST(AllPairsTest, DisconnectedRowsHoldUnreachable) {
-  // Components {0, 1, 2}, {3, 4} and the isolated node 5.
+// Components {0, 1, 2}, {3, 4} and the isolated node 5.
+Graph three_components() {
   Graph g(6);
   g.add_edge(0, 1, 4);
   g.add_edge(1, 2, 1);
   g.add_edge(3, 4, Weight{1} << 40);
+  return g;
+}
+
+TEST(AllPairsTest, DisconnectedRowsHoldUnreachable) {
+  const Graph g = three_components();
   expect_matches_eager(g, "disconnected");
   AllPairs ap(g);
   EXPECT_EQ(ap.dist(0, 2), 5);
@@ -139,6 +148,72 @@ TEST(AllPairsTest, DisconnectedRowsHoldUnreachable) {
   EXPECT_EQ(ap.dist(0, 3), kUnreachable);
   EXPECT_EQ(ap.dist(5, 5), 0);
   for (Weight d : ap.row(5)) EXPECT_EQ(d, d == 0 ? 0 : kUnreachable);
+}
+
+// A fill reuses the rows already in the table, so a row must equal plain
+// Dijkstra whatever was filled before it. Each graph is filled in three
+// seeded random orders with a dist() probe after every fill (a probe may
+// fill a row of its own). Then, per source u, a fresh table fills every
+// neighbour of u first, so u's own fill expands only u's arcs and reaches
+// everything else through reused rows.
+TEST(AllPairsTest, RowsMatchSsspInAnyFillOrder) {
+  Rng er_rng(12);
+  const std::pair<const char*, Graph> graphs[] = {
+      {"randtree", TopologySpec::random_tree(150, /*seed=*/4).build_graph()},
+      {"geometric", TopologySpec::geometric(160, /*seed=*/6).build_graph()},
+      {"wtree", TopologySpec::weighted_tree(140, /*seed=*/8, Weight{1} << 40).build_graph()},
+      {"erdos-renyi", make_erdos_renyi(90, 0.08, er_rng)},
+      {"disconnected", three_components()},
+  };
+  for (const auto& [what, g] : graphs) {
+    const NodeId n = g.node_count();
+    std::vector<std::vector<Weight>> ref;
+    for (NodeId u = 0; u < n; ++u) ref.push_back(sssp(g, u));
+    const auto matches = [&](std::span<const Weight> row, NodeId u) {
+      const auto& want = ref[static_cast<std::size_t>(u)];
+      return std::equal(row.begin(), row.end(), want.begin(), want.end());
+    };
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      Rng rng(seed);
+      std::vector<NodeId> order(static_cast<std::size_t>(n));
+      std::iota(order.begin(), order.end(), NodeId{0});
+      rng.shuffle(order);
+      AllPairs ap(g);
+      std::vector<bool> filled(static_cast<std::size_t>(n), false);
+      NodeId fills = 0;
+      const auto fill = [&](NodeId u) {
+        if (!filled[static_cast<std::size_t>(u)]) {
+          filled[static_cast<std::size_t>(u)] = true;
+          ++fills;
+        }
+      };
+      for (const NodeId u : order) {
+        fill(u);
+        ASSERT_TRUE(matches(ap.row(u), u)) << what << " seed " << seed << " row " << u;
+        const auto a = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n)));
+        const auto b = static_cast<NodeId>(rng.next_below(static_cast<std::uint64_t>(n)));
+        if (!filled[static_cast<std::size_t>(a)]) fill(b);  // dist(a, b) reads row a or b
+        ASSERT_EQ(ap.dist(a, b), ref[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)])
+            << what << " seed " << seed << " probe " << a << "," << b;
+        ASSERT_EQ(ap.rows_filled(), fills) << what << " seed " << seed;
+      }
+    }
+    for (NodeId u = 0; u < n; ++u) {
+      AllPairs ap(g);
+      for (const HalfEdge& he : g.neighbors(u))
+        ASSERT_TRUE(matches(ap.row(he.to), he.to)) << what << " neighbour " << he.to;
+      const NodeId before = ap.rows_filled();
+      ASSERT_TRUE(matches(ap.row(u), u)) << what << " row " << u << " after its neighbours";
+      EXPECT_EQ(ap.rows_filled(), before + 1) << what << " row " << u;
+    }
+  }
+}
+
+TEST(AllPairsDeathTest, EccentricitiesAssertConnectivity) {
+  const AllPairs ap(three_components());
+  EXPECT_DEATH(ap.center(), "center of a disconnected graph");
+  EXPECT_DEATH(ap.radius(), "radius of a disconnected graph");
+  EXPECT_DEATH(ap.diameter(), "diameter of a disconnected graph");
 }
 
 TEST(AllPairsTest, RowsFillOnDemand) {

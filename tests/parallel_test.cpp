@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <latch>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "sim/fault.hpp"
 #include "sim/latency.hpp"
 #include "sim/parallel/parallel.hpp"
+#include "support/random.hpp"
 #include "testutil.hpp"
 
 namespace arrowdq {
@@ -664,15 +666,24 @@ TEST(ShardedExperiment, NewlyWiredMirrorsMatchSerial) {
   }
 }
 
-// Four threads released together query one fresh table, each in its own
-// pair order, so rows are filled and read concurrently: every answer must
-// match the serial reference, and TSan checks the fill and its publication.
-TEST(AllPairsConcurrency, ThreadsShareOneLazyTable) {
+// Four threads released together query one table, each in its own pair
+// order, so rows are filled and read concurrently: every answer must match
+// the serial reference, and TSan checks the fill and its publication.
+// `prefill_seed` != 0 first fills a seeded half of the rows, so the
+// concurrent fills run on reused rows.
+void expect_threads_share_one_table(std::uint64_t prefill_seed) {
   const Graph g = TopologySpec::geometric(200, /*seed=*/17).build_graph();
   const NodeId n = g.node_count();
   std::vector<std::vector<Weight>> ref;
   for (NodeId u = 0; u < n; ++u) ref.push_back(sssp(g, u));
   const AllPairs table(g);
+  if (prefill_seed != 0) {
+    std::vector<NodeId> order(static_cast<std::size_t>(n));
+    std::iota(order.begin(), order.end(), NodeId{0});
+    Rng(prefill_seed).shuffle(order);
+    for (NodeId i = 0; i < n / 2; ++i) (void)table.row(order[static_cast<std::size_t>(i)]);
+    ASSERT_EQ(table.rows_filled(), n / 2);
+  }
   constexpr int kThreads = 4;
   std::latch start(kThreads);
   std::vector<std::int64_t> mismatches(kThreads, 0);
@@ -694,6 +705,10 @@ TEST(AllPairsConcurrency, ThreadsShareOneLazyTable) {
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << t;
   EXPECT_LE(table.rows_filled(), n);
 }
+
+TEST(AllPairsConcurrency, ThreadsShareOneLazyTable) { expect_threads_share_one_table(0); }
+
+TEST(AllPairsConcurrency, ThreadsFillOnReusedRows) { expect_threads_share_one_table(31); }
 
 // On an irregular family both one-shot baselines read a fresh AllPairs
 // table through the shared oracle. Every node requests at t = 0, so the
