@@ -48,16 +48,16 @@ int main() {
       };
       report("arrow", run_arrow(t, load.reqs));
       report("centralized",
-             run_centralized(n, load.reqs, unit_dist_fn(), CentralizedConfig{0}));
+             run_centralized(n, load.reqs, complete_dist(n), CentralizedConfig{0}));
       {
         PointerForwardingConfig cfg;
         cfg.mode = ForwardingMode::kCompressToRequester;
-        report("ivy/nta", run_pointer_forwarding(n, load.reqs, unit_dist_fn(), cfg));
+        report("ivy/nta", run_pointer_forwarding(n, load.reqs, complete_dist(n), cfg));
       }
       {
         PointerForwardingConfig cfg;
         cfg.mode = ForwardingMode::kReverseToSender;
-        report("reversal-only", run_pointer_forwarding(n, load.reqs, unit_dist_fn(), cfg));
+        report("reversal-only", run_pointer_forwarding(n, load.reqs, complete_dist(n), cfg));
       }
     }
   }

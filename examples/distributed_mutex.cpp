@@ -45,7 +45,7 @@ int main() {
   // Compare the queuing layer alone against a centralized lock server.
   AllPairs apsp(g);
   auto out_central =
-      run_centralized(n, reqs, apsp_dist_fn(apsp), CentralizedConfig{/*center=*/0});
+      run_centralized(n, reqs, ApspDist{&apsp}, CentralizedConfig{/*center=*/0});
   auto out_arrow = run_arrow(t, reqs);
   std::printf("\nqueuing-layer comparison (total latency, lower is better):\n");
   std::printf("  arrow      : %.1f units, %lld hops\n",

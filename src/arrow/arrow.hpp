@@ -26,7 +26,6 @@
 #include "sim/fault.hpp"
 #include "sim/latency.hpp"
 #include "sim/network.hpp"
-#include "sim/simulator.hpp"
 #include "support/types.hpp"
 
 namespace arrowdq {
@@ -79,7 +78,8 @@ class ArrowEngine {
   NodeId sink_node() const;
   /// Messages sent during the last run.
   std::uint64_t messages_sent() const { return messages_; }
-  Simulator& sim() { return sim_; }
+  /// Simulated time at which the last run went quiescent.
+  Time makespan() const { return makespan_; }
 
   /// Degradation/recovery metrics from the last run (all zero fault-free).
   const FaultStats& fault_stats() const { return fault_stats_; }
@@ -98,9 +98,9 @@ class ArrowEngine {
   Time service_time_ = 0;
   FaultSpec fault_;
   Graph tree_graph_;
-  Simulator sim_;
   std::vector<NodeId> link_;
   std::uint64_t messages_ = 0;
+  Time makespan_ = 0;
   FaultStats fault_stats_;
   RecoveryCounters recovery_;
 };

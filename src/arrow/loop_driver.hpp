@@ -84,8 +84,7 @@ class ArrowLoopDriver {
         config_(config),
         index_(topo_.make_index()),
         eng_(on.template make<Eng>(index_, std::move(latency), std::move(faults),
-                                   config.notify_latency ? Time{1} : kTicksPerUnit,
-                                   config.fault)),
+                                   kTicksPerUnit, config.fault)),
         link_(static_cast<std::size_t>(topo_.node_count())),
         last_req_(static_cast<std::size_t>(topo_.node_count()), kNoRequest),
         issued_(static_cast<std::size_t>(topo_.node_count()), 0),
@@ -171,7 +170,7 @@ class ArrowLoopDriver {
     if (m.requester == at) {
       round_done(ctx, at);
     } else {
-      ctx.send_with_latency(at, m.requester, notify_latency(at, m.requester),
+      ctx.send_with_latency(at, m.requester, kTicksPerUnit,
                             ArrowLoopMsg{LoopKind::kNotify, m.req, m.requester, 0, epoch_of(rec_)});
     }
   }
@@ -240,11 +239,6 @@ class ArrowLoopDriver {
   auto& sim() { return eng_.sim(); }
   LaneTally& tally(const Ctx& ctx) { return tally_[static_cast<std::size_t>(ctx.lane())]; }
 
-  Time notify_latency(NodeId from, NodeId to) const {
-    if (config_.notify_latency) return config_.notify_latency(from, to);
-    return kTicksPerUnit;  // complete graph, unit pairwise latency
-  }
-
   void round_done(Ctx& ctx, NodeId v) {
     LaneTally& t = tally(ctx);
     t.latency_sum += ctx.now() - issue_time_[static_cast<std::size_t>(v)];
@@ -275,7 +269,7 @@ class ArrowLoopDriver {
     if (m.requester == sink) {
       round_done(ctx, sink);
     } else {
-      ctx.send_with_latency(sink, m.requester, notify_latency(sink, m.requester),
+      ctx.send_with_latency(sink, m.requester, kTicksPerUnit,
                             ArrowLoopMsg{LoopKind::kNotify, m.req, m.requester, 0, epoch_of(rec_)});
     }
   }

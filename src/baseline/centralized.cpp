@@ -1,6 +1,8 @@
 #include "baseline/centralized.hpp"
 
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "baseline/centralized_driver.hpp"
@@ -9,10 +11,6 @@
 #include "support/stats.hpp"
 
 namespace arrowdq {
-
-DistTicksFn apsp_dist_fn(const AllPairs& apsp) { return DistTicksFn(ApspDist{&apsp}); }
-
-DistTicksFn unit_dist_fn() { return DistTicksFn(UnitDist{}); }
 
 namespace {
 
@@ -128,65 +126,26 @@ class CentralLoop {
   RequestId tail_ = kRootRequest;
 };
 
-template <typename Dist>
-CentralizedLoopResult run_centralized_closed_loop_impl(NodeId node_count,
-                                                       std::int64_t requests_per_node, Dist dist,
-                                                       const CentralizedConfig& config) {
-  return with_fault_filter(config.fault, node_count, [&](auto filt) {
-    CentralLoop<Dist, decltype(filt)> driver(node_count, requests_per_node, dist,
-                                             std::move(filt), config);
-    return driver.run();
-  });
-}
-
 }  // namespace
 
-template <typename Dist>
-QueuingOutcome run_centralized(NodeId node_count, const RequestSet& requests, Dist dist,
-                               const CentralizedConfig& config) {
-  return detail::run_centralized_one_shot(node_count, requests, dist, config, OnSerial{});
-}
-
 QueuingOutcome run_centralized(NodeId node_count, const RequestSet& requests,
-                               const DistTicksFn& dist, const CentralizedConfig& config) {
-  return with_static_dist(dist, [&](auto oracle) {
-    return detail::run_centralized_one_shot(node_count, requests, oracle, config, OnSerial{});
-  });
-}
-
-template <typename Dist>
-CentralizedLoopResult run_centralized_closed_loop(NodeId node_count,
-                                                  std::int64_t requests_per_node, Dist dist,
-                                                  const CentralizedConfig& config) {
-  return run_centralized_closed_loop_impl(node_count, requests_per_node, dist, config);
+                               const DistOracle& dist, const CentralizedConfig& config) {
+  return detail::run_centralized_one_shot(node_count, requests, dist, config, OnSerial{});
 }
 
 CentralizedLoopResult run_centralized_closed_loop(NodeId node_count,
                                                   std::int64_t requests_per_node,
-                                                  const DistTicksFn& dist,
+                                                  const DistOracle& dist,
                                                   const CentralizedConfig& config) {
-  return with_static_dist(dist, [&](auto oracle) {
-    return run_centralized_closed_loop_impl(node_count, requests_per_node, oracle, config);
-  });
+  return std::visit(
+      [&](const auto& oracle) {
+        return with_fault_filter(config.fault, node_count, [&](auto filt) {
+          CentralLoop<std::decay_t<decltype(oracle)>, decltype(filt)> driver(
+              node_count, requests_per_node, oracle, std::move(filt), config);
+          return driver.run();
+        });
+      },
+      dist);
 }
-
-// One explicit instantiation per concrete oracle in dist.hpp. An oracle type
-// missing here fails at link time rather than silently falling back to the
-// type-erased tier.
-#define ARROWDQ_CENTRALIZED_INSTANTIATE(Dist)                                              \
-  template QueuingOutcome run_centralized<Dist>(NodeId, const RequestSet&, Dist,           \
-                                                const CentralizedConfig&);                 \
-  template CentralizedLoopResult run_centralized_closed_loop<Dist>(NodeId, std::int64_t,   \
-                                                                   Dist,                   \
-                                                                   const CentralizedConfig&)
-ARROWDQ_CENTRALIZED_INSTANTIATE(UnitDist);
-ARROWDQ_CENTRALIZED_INSTANTIATE(ApspDist);
-ARROWDQ_CENTRALIZED_INSTANTIATE(FnDist);
-ARROWDQ_CENTRALIZED_INSTANTIATE(PathDist);
-ARROWDQ_CENTRALIZED_INSTANTIATE(RingDist);
-ARROWDQ_CENTRALIZED_INSTANTIATE(GridDist);
-ARROWDQ_CENTRALIZED_INSTANTIATE(TorusDist);
-ARROWDQ_CENTRALIZED_INSTANTIATE(HypercubeDist);
-#undef ARROWDQ_CENTRALIZED_INSTANTIATE
 
 }  // namespace arrowdq

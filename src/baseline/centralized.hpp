@@ -40,18 +40,8 @@ struct CentralizedConfig {
 /// One-shot execution. Completion is recorded when the center's reply (the
 /// predecessor's identity) reaches the requester, matching Section 5's
 /// completion definition.
-///
-/// The oracle template is the statically dispatched tier (direct per-message
-/// distance draws); centralized.cpp explicitly instantiates it for every
-/// concrete oracle type in dist.hpp, so an unknown oracle fails at link
-/// time instead of silently type-erasing. The DistTicksFn overload probes
-/// for a wrapped oracle once per run (with_static_dist) and otherwise falls
-/// back to the type-erased per-message call.
-template <typename Dist>
-QueuingOutcome run_centralized(NodeId node_count, const RequestSet& requests, Dist dist,
-                               const CentralizedConfig& config);
 QueuingOutcome run_centralized(NodeId node_count, const RequestSet& requests,
-                               const DistTicksFn& dist, const CentralizedConfig& config);
+                               const DistOracle& dist, const CentralizedConfig& config);
 
 struct CentralizedLoopResult {
   Time makespan = 0;
@@ -66,13 +56,9 @@ struct CentralizedLoopResult {
 };
 
 /// Closed-loop driver matching run_arrow_closed_loop: every node performs
-/// `requests_per_node` rounds, re-issuing when the reply arrives. Same
-/// oracle-dispatch scheme as run_centralized.
-template <typename Dist>
+/// `requests_per_node` rounds, re-issuing when the reply arrives.
 CentralizedLoopResult run_centralized_closed_loop(NodeId node_count, std::int64_t requests_per_node,
-                                                  Dist dist, const CentralizedConfig& config);
-CentralizedLoopResult run_centralized_closed_loop(NodeId node_count, std::int64_t requests_per_node,
-                                                  const DistTicksFn& dist,
+                                                  const DistOracle& dist,
                                                   const CentralizedConfig& config);
 
 }  // namespace arrowdq

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "baseline/centralized.hpp"
@@ -30,8 +32,8 @@ struct CentralMsg {
 /// A star-shaped protocol: every request goes to the center, a reply
 /// returns. Only direct sends are made (latency from the distance oracle),
 /// so the network needs no edge index and the sampler is never consulted.
-/// Templated on the oracle so the per-message distance draw is a direct
-/// call; the fault branch compiles out under NoFaults.
+/// Templated on the DistOracle alternative so the per-message distance draw
+/// is a direct call; the fault branch compiles out under NoFaults.
 template <typename Dist, typename Faults, typename On = OnSerial>
 class CentralOneShot {
  public:
@@ -42,7 +44,7 @@ class CentralOneShot {
   CentralOneShot(NodeId node_count, const RequestSet& requests, Dist dist, Faults faults,
                  const CentralizedConfig& config, QueuingOutcome& out, const On& on = {})
       : index_{node_count},
-        eng_(on.template make<Eng>(index_, SyncSampler{}, std::move(faults), dist_floor(dist),
+        eng_(on.template make<Eng>(index_, SyncSampler{}, std::move(faults), kTicksPerUnit,
                                    config.fault)),
         dist_(dist),
         config_(config),
@@ -131,15 +133,20 @@ class CentralOneShot {
 };
 
 /// Run the centralized one-shot with the given engine selector.
-template <typename Dist, typename On>
-QueuingOutcome run_centralized_one_shot(NodeId node_count, const RequestSet& requests, Dist dist,
-                                        const CentralizedConfig& config, const On& on) {
+template <typename On>
+QueuingOutcome run_centralized_one_shot(NodeId node_count, const RequestSet& requests,
+                                        const DistOracle& dist, const CentralizedConfig& config,
+                                        const On& on) {
   QueuingOutcome out(requests.size());
-  with_fault_filter(config.fault, node_count, [&](auto filt) {
-    CentralOneShot<Dist, decltype(filt), On> driver(node_count, requests, dist, std::move(filt),
-                                                     config, out, on);
-    driver.run(requests);
-  });
+  std::visit(
+      [&](const auto& oracle) {
+        with_fault_filter(config.fault, node_count, [&](auto filt) {
+          CentralOneShot<std::decay_t<decltype(oracle)>, decltype(filt), On> driver(
+              node_count, requests, oracle, std::move(filt), config, out, on);
+          driver.run(requests);
+        });
+      },
+      dist);
   return out;
 }
 

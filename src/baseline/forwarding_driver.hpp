@@ -4,7 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "baseline/dist.hpp"
@@ -40,7 +42,7 @@ class Forwarder {
   Forwarder(NodeId node_count, const RequestSet& requests, Dist dist, Faults faults,
             const PointerForwardingConfig& config, QueuingOutcome& out, const On& on = {})
       : index_{node_count},
-        eng_(on.template make<Eng>(index_, SyncSampler{}, std::move(faults), dist_floor(dist),
+        eng_(on.template make<Eng>(index_, SyncSampler{}, std::move(faults), kTicksPerUnit,
                                    config.fault)),
         dist_(dist),
         config_(config),
@@ -150,7 +152,7 @@ class LoopForwarder {
   LoopForwarder(NodeId node_count, std::int64_t reqs_per_node, Dist dist, Faults faults,
                 const PointerForwardingConfig& config, const On& on = {})
       : index_{node_count},
-        eng_(on.template make<Eng>(index_, SyncSampler{}, std::move(faults), dist_floor(dist),
+        eng_(on.template make<Eng>(index_, SyncSampler{}, std::move(faults), kTicksPerUnit,
                                    config.fault)),
         dist_(dist),
         config_(config),
@@ -279,8 +281,9 @@ class LoopForwarder {
 };
 
 /// Run one-shot pointer forwarding with the given engine selector.
-template <typename Dist, typename On>
-QueuingOutcome run_forwarding_one_shot(NodeId node_count, const RequestSet& requests, Dist dist,
+template <typename On>
+QueuingOutcome run_forwarding_one_shot(NodeId node_count, const RequestSet& requests,
+                                       const DistOracle& dist,
                                        const PointerForwardingConfig& config, const On& on) {
   ARROWDQ_ASSERT_MSG(node_count >= 1, "need at least one node");
   ARROWDQ_ASSERT_MSG(config.initial_owner >= 0 && config.initial_owner < node_count,
@@ -288,28 +291,36 @@ QueuingOutcome run_forwarding_one_shot(NodeId node_count, const RequestSet& requ
   ARROWDQ_ASSERT_MSG(requests.root() == config.initial_owner,
                      "request-set root must equal the initial owner");
   QueuingOutcome out(requests.size());
-  with_fault_filter(config.fault, node_count, [&](auto filt) {
-    Forwarder<Dist, decltype(filt), On> driver(node_count, requests, dist, std::move(filt), config,
-                                               out, on);
-    driver.run(requests);
-  });
+  std::visit(
+      [&](const auto& oracle) {
+        with_fault_filter(config.fault, node_count, [&](auto filt) {
+          Forwarder<std::decay_t<decltype(oracle)>, decltype(filt), On> driver(
+              node_count, requests, oracle, std::move(filt), config, out, on);
+          driver.run(requests);
+        });
+      },
+      dist);
   return out;
 }
 
 /// Run the pointer-forwarding closed loop with the given engine selector.
-template <typename Dist, typename On>
+template <typename On>
 ForwardingLoopResult run_forwarding_loop(NodeId node_count, std::int64_t requests_per_node,
-                                         Dist dist, const PointerForwardingConfig& config,
-                                         const On& on) {
+                                         const DistOracle& dist,
+                                         const PointerForwardingConfig& config, const On& on) {
   ARROWDQ_ASSERT_MSG(node_count >= 1, "need at least one node");
   ARROWDQ_ASSERT_MSG(requests_per_node >= 0, "requests_per_node must be >= 0");
   ARROWDQ_ASSERT_MSG(config.initial_owner >= 0 && config.initial_owner < node_count,
                      "initial owner must be a node");
-  return with_fault_filter(config.fault, node_count, [&](auto filt) {
-    LoopForwarder<Dist, decltype(filt), On> driver(node_count, requests_per_node, dist,
-                                                   std::move(filt), config, on);
-    return driver.run();
-  });
+  return std::visit(
+      [&](const auto& oracle) {
+        return with_fault_filter(config.fault, node_count, [&](auto filt) {
+          LoopForwarder<std::decay_t<decltype(oracle)>, decltype(filt), On> driver(
+              node_count, requests_per_node, oracle, std::move(filt), config, on);
+          return driver.run();
+        });
+      },
+      dist);
 }
 
 }  // namespace arrowdq::detail

@@ -49,17 +49,8 @@ struct PointerForwardingConfig {
 /// One-shot execution on `node_count` nodes with pairwise latency `dist`.
 /// Completion per Definition 3.2: recorded when the find message reaches the
 /// node holding the predecessor request.
-///
-/// The oracle template is the statically dispatched tier, explicitly
-/// instantiated in pointer_forwarding.cpp for every concrete oracle type in
-/// dist.hpp; the DistTicksFn overload probes for a wrapped oracle once per
-/// run (with_static_dist) and otherwise pays the type-erased call per
-/// message.
-template <typename Dist>
 QueuingOutcome run_pointer_forwarding(NodeId node_count, const RequestSet& requests,
-                                      Dist dist, const PointerForwardingConfig& config);
-QueuingOutcome run_pointer_forwarding(NodeId node_count, const RequestSet& requests,
-                                      const DistTicksFn& dist,
+                                      const DistOracle& dist,
                                       const PointerForwardingConfig& config);
 
 struct ForwardingLoopResult {
@@ -82,16 +73,10 @@ struct ForwardingLoopResult {
 /// identity to the requester as a direct message (latency dG), and the
 /// requester issues its next request one service interval after the reply
 /// arrives. A request finding the predecessor locally completes with a
-/// zero-latency local reply, exactly like the arrow loop. Same
-/// oracle-dispatch scheme as run_pointer_forwarding.
-template <typename Dist>
+/// zero-latency local reply, exactly like the arrow loop.
 ForwardingLoopResult run_pointer_forwarding_closed_loop(NodeId node_count,
                                                         std::int64_t requests_per_node,
-                                                        Dist dist,
-                                                        const PointerForwardingConfig& config);
-ForwardingLoopResult run_pointer_forwarding_closed_loop(NodeId node_count,
-                                                        std::int64_t requests_per_node,
-                                                        const DistTicksFn& dist,
+                                                        const DistOracle& dist,
                                                         const PointerForwardingConfig& config);
 
 }  // namespace arrowdq

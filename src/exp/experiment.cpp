@@ -370,32 +370,6 @@ ResolvePlan plan_resolve(const Experiment& e) {
   return plan;
 }
 
-/// Invoke `fn` with the value-type distance oracle resolve() selected.
-/// Callers get a fully typed oracle (static dispatch end to end); the
-/// baseline drivers are explicitly instantiated per oracle, so an enum value
-/// without an instantiation fails at link time rather than silently erasing.
-template <typename Fn>
-auto with_resolved_dist(const Resolved& r, Fn&& fn) {
-  switch (r.dist) {
-    case DistOracle::kUnit:
-      return fn(UnitDist{});
-    case DistOracle::kApsp:
-      return fn(ApspDist{&*r.apsp});
-    case DistOracle::kPath:
-      return fn(PathDist{});
-    case DistOracle::kRing:
-      return fn(RingDist{r.n});
-    case DistOracle::kGrid:
-      return fn(GridDist{r.cols});
-    case DistOracle::kTorus:
-      return fn(TorusDist{r.rows, r.cols});
-    case DistOracle::kHypercube:
-      return fn(HypercubeDist{});
-  }
-  ARROWDQ_ASSERT_MSG(false, "unknown distance oracle");
-  return fn(UnitDist{});
-}
-
 /// ARROWDQ_SIM_SHARDS, parsed once per process. Out-of-range or
 /// non-numeric values mean 1 (serial); the cap matches the engine's
 /// practical lane range.
@@ -438,14 +412,6 @@ int effective_shards(const Experiment& e) {
   const int k = e.shards > 0 ? e.shards : env_shards();
   if (k <= 1) return 1;
   return shardable(e) ? k : 1;
-}
-
-/// Dynamic-tier wrapper for a resolved distance oracle: the sharded baseline
-/// entries take a DistTicksFn; with_static_dist inside them recovers the
-/// concrete oracle type, so the per-message draw stays a direct call.
-template <typename Dist>
-DistTicksFn dist_fn(Dist dist) {
-  return DistTicksFn(dist);
 }
 
 }  // namespace
@@ -545,9 +511,7 @@ RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, const Resolv
   res.crashes = e.fault.has_crash() ? e.fault.crash_count : 0;
   res.partitions = e.fault.has_partition() ? e.fault.partition_count : 0;
   if (e.rounds > 0) {
-    CentralizedLoopResult loop = with_resolved_dist(r, [&](auto dist) {
-      return run_centralized_closed_loop(n, e.rounds, dist, cfg);
-    });
+    CentralizedLoopResult loop = run_centralized_closed_loop(n, e.rounds, r.oracle(), cfg);
     res.makespan = loop.makespan;
     res.total_requests = loop.total_requests;
     res.messages = loop.messages;
@@ -565,14 +529,14 @@ RunResult run_protocol<Protocol::kCentralized>(const Experiment& e, const Resolv
   FaultStats fs;
   cfg.fault_stats_out = &fs;
   const int shards = effective_shards(e);
-  QueuingOutcome out = with_resolved_dist(r, [&](auto dist) {
+  QueuingOutcome out = [&] {
     if (shards > 1) {
       ShardSpec spec;
       spec.shards = shards;
-      return run_centralized_sharded(n, r.requests, dist_fn(dist), cfg, spec);
+      return run_centralized_sharded(n, r.requests, r.oracle(), cfg, spec);
     }
-    return run_centralized(n, r.requests, dist, cfg);
-  });
+    return run_centralized(n, r.requests, r.oracle(), cfg);
+  }();
   out.validate(r.requests);
   res.messages = static_cast<std::uint64_t>(out.total_hops());
   res.messages_dropped = fs.messages_dropped;
@@ -596,15 +560,14 @@ RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, const 
   res.partitions = e.fault.has_partition() ? e.fault.partition_count : 0;
   const int shards = effective_shards(e);
   if (e.rounds > 0) {
-    ForwardingLoopResult loop = with_resolved_dist(r, [&](auto dist) {
+    ForwardingLoopResult loop = [&] {
       if (shards > 1) {
         ShardSpec spec;
         spec.shards = shards;
-        return run_pointer_forwarding_closed_loop_sharded(n, e.rounds, dist_fn(dist), cfg,
-                                                          spec);
+        return run_pointer_forwarding_closed_loop_sharded(n, e.rounds, r.oracle(), cfg, spec);
       }
-      return run_pointer_forwarding_closed_loop(n, e.rounds, dist, cfg);
-    });
+      return run_pointer_forwarding_closed_loop(n, e.rounds, r.oracle(), cfg);
+    }();
     res.makespan = loop.makespan;
     res.total_requests = loop.total_requests;
     res.messages = loop.find_messages + loop.reply_messages;
@@ -618,14 +581,14 @@ RunResult run_protocol<Protocol::kPointerForwarding>(const Experiment& e, const 
   }
   FaultStats fs;
   cfg.fault_stats_out = &fs;
-  QueuingOutcome out = with_resolved_dist(r, [&](auto dist) {
+  QueuingOutcome out = [&] {
     if (shards > 1) {
       ShardSpec spec;
       spec.shards = shards;
-      return run_pointer_forwarding_sharded(n, r.requests, dist_fn(dist), cfg, spec);
+      return run_pointer_forwarding_sharded(n, r.requests, r.oracle(), cfg, spec);
     }
-    return run_pointer_forwarding(n, r.requests, dist, cfg);
-  });
+    return run_pointer_forwarding(n, r.requests, r.oracle(), cfg);
+  }();
   out.validate(r.requests);
   res.messages = static_cast<std::uint64_t>(out.total_hops());
   res.messages_dropped = fs.messages_dropped;
@@ -676,6 +639,15 @@ Resolved resolve(const Experiment& e) {
   const TopologySpec& t = e.topology;
   const ResolvePlan plan = plan_resolve(e);
   Resolved r;
+  if (plan.fam) {
+    r.implicit.emplace();
+    r.implicit->family = *plan.fam;
+    r.implicit->n = t.nodes;
+    r.implicit->rows = t.rows;
+    r.implicit->cols = t.cols;
+    r.implicit->root = t.root;
+    r.implicit->balanced_binary = (t.tree_kind == TopologySpec::TreeKind::kBalancedBinary);
+  }
   if (plan.materialize) {
     r.graph = t.build_graph();
     r.tree = t.build_tree(r.graph);
@@ -686,13 +658,6 @@ Resolved resolve(const Experiment& e) {
     // distance/adjacency/tree-parent queries in closed form.
     r.n = t.nodes;
     r.root = t.root;
-    r.implicit.emplace();
-    r.implicit->family = *plan.fam;
-    r.implicit->n = t.nodes;
-    r.implicit->rows = t.rows;
-    r.implicit->cols = t.cols;
-    r.implicit->root = t.root;
-    r.implicit->balanced_binary = (t.tree_kind == TopologySpec::TreeKind::kBalancedBinary);
     const Protocol p = e.protocol.kind;
     // ArrowEngine / token passing / the topology-fault recovery waves hold
     // a real Tree; O(n) from the closed-form parents, still no graph/APSP.
@@ -701,38 +666,10 @@ Resolved resolve(const Experiment& e) {
     if (needs_tree) r.tree = r.implicit->materialize_tree();
     r.implicit_loop = (p == Protocol::kArrowClosedLoop && !e.fault.has_topology_faults());
   }
-  r.rows = t.rows;
-  r.cols = t.cols;
-  if (is_baseline(e)) {
-    if (!plan.fam) {
-      // Irregular family: the oracle is a per-run AllPairs table whose
-      // rows fill on demand (a centralized run fills one; capped by
-      // validate_experiment()).
-      r.apsp.emplace(r.graph);
-      r.dist = DistOracle::kApsp;
-    } else {
-      switch (*plan.fam) {
-        case ImplicitFamily::kComplete:
-          r.dist = DistOracle::kUnit;
-          break;
-        case ImplicitFamily::kPath:
-          r.dist = DistOracle::kPath;
-          break;
-        case ImplicitFamily::kRing:
-          r.dist = DistOracle::kRing;
-          break;
-        case ImplicitFamily::kGrid:
-          r.dist = DistOracle::kGrid;
-          break;
-        case ImplicitFamily::kTorus:
-          r.dist = DistOracle::kTorus;
-          break;
-        case ImplicitFamily::kHypercube:
-          r.dist = DistOracle::kHypercube;
-          break;
-      }
-    }
-  }
+  // Irregular families: the baselines' oracle is a per-run AllPairs table
+  // whose rows fill on demand (a centralized run fills one; capped by
+  // validate_experiment()).
+  if (is_baseline(e) && !plan.fam) r.apsp.emplace(r.graph);
   if (!is_closed_loop(e)) r.requests = e.workload.build(r.n, r.root);
   return r;
 }

@@ -1,13 +1,12 @@
 // Compile-time protocol registry for the Experiment API.
 //
-// One entry per Protocol value: a plain function pointer to a fully typed
-// driver shim. Each shim is a `run_protocol<P>` specialization whose body
-// (exp/experiment.cpp) instantiates the statically dispatched simulation
-// stack — value-type latency samplers via with_static_latency, typed
-// network handlers, value-type distance oracles via with_static_dist — so
-// the only indirect call an experiment pays is this single registry lookup
-// per *run*; the per-message path stays exactly PR 3's devirtualized hot
-// loop, with no std::function anywhere on it.
+// One entry per Protocol value: a plain function pointer to a driver shim.
+// Each shim is a `run_protocol<P>` specialization (exp/experiment.cpp) that
+// hands the resolved inputs to a driver entry point; the entry point picks
+// its value-type latency sampler (with_static_latency) and the baselines'
+// dG oracle alternative (std::visit on Resolved::oracle()) once per run.
+// The per-message path is a typed handler and direct oracle calls, with no
+// std::function on it.
 //
 // The registry is a constexpr array built at compile time; adding a protocol
 // means adding an enumerator, a specialization, and one array entry — the
@@ -22,52 +21,48 @@
 #include <cstdint>
 #include <optional>
 
+#include "baseline/dist.hpp"
 #include "exp/experiment.hpp"
 #include "graph/implicit.hpp"
 #include "graph/shortest_paths.hpp"
+#include "support/assert.hpp"
 
 namespace arrowdq {
 namespace exp_detail {
 
-/// Which dG oracle the baseline drivers draw distances from. The structured
-/// families use the closed forms of baseline/dist.hpp — no table at all; the
-/// irregular families (geometric, random/weighted tree, custom) read an
-/// AllPairs table that fills one Dijkstra row per node it is asked about.
-enum class DistOracle : std::uint8_t {
-  kUnit,       // complete graph
-  kApsp,       // irregular families: per-run AllPairs, rows filled on demand
-  kPath,
-  kRing,
-  kGrid,
-  kTorus,
-  kHypercube,
-};
-
 /// Everything a driver needs, materialized once per run from the value
-/// specs. On the materialized tier: private graph/tree copies (Graph's lazy
-/// edge index is not thread-safe to share), the request schedule for
-/// one-shot protocols, and the AllPairs table behind the baselines' oracle on
-/// irregular topologies (its rows fill on demand, thread-safely, so sharded
-/// lanes share it through the const dist()). On the scale tier, resolve() leaves `graph` (and
+/// specs: private graph/tree copies (Graph's lazy edge index is not
+/// thread-safe to share), the request schedule for one-shot protocols, and
+/// the baselines' dG oracle. On the scale tier resolve() leaves `graph` (and
 /// where possible `tree`) empty: structured families carry closed forms for
-/// distance, adjacency, and the canonical tree parent, so baselines draw dG
+/// distance, adjacency and the canonical tree parent, so baselines draw dG
 /// straight from a formula and the arrow closed loop runs fully implicit.
 struct Resolved {
   Graph graph;  // empty (node_count 0) when no driver path reads adjacency
   Tree tree{std::vector<NodeId>{kNoNode}, std::vector<Weight>{1}, 0};
-  RequestSet requests{0, {}};    // empty for pure closed-loop runs
-  std::optional<AllPairs> apsp;  // engaged iff the dG oracle needs it
-  NodeId n = 0;                  // authoritative node count (graph may be empty)
-  NodeId root = 0;               // tree root / forwarding initial owner
-  NodeId rows = 0, cols = 0;     // grid/torus closed-form oracle parameters
-  DistOracle dist = DistOracle::kUnit;
-  /// Engaged for structured families resolved without a graph; carries the
-  /// closed forms (and materializes the tree in O(n) when a driver needs
-  /// one).
+  RequestSet requests{0, {}};  // empty for pure closed-loop runs
+  /// Baselines on irregular families only: the AllPairs table behind their
+  /// oracle. Its rows fill on demand, thread-safely, so sharded lanes share
+  /// it.
+  std::optional<AllPairs> apsp;
+  NodeId n = 0;     // authoritative node count (graph may be empty)
+  NodeId root = 0;  // tree root / forwarding initial owner
+  /// Engaged iff the family has closed forms. The scale tier runs on it
+  /// (materializing the tree in O(n) when a driver needs one); where the
+  /// graph is materialized only its distance() is read, and `tree` is the
+  /// tree.
   std::optional<ImplicitTopology> implicit;
   /// kArrowClosedLoop only: run the compact implicit driver instead of the
   /// materialized one.
   bool implicit_loop = false;
+
+  /// The baselines' dG oracle. Built on demand, so the table it may point
+  /// to is this Resolved's own.
+  DistOracle oracle() const {
+    if (apsp) return ApspDist{&*apsp};
+    ARROWDQ_ASSERT_MSG(implicit.has_value(), "no dG oracle resolved");
+    return ImplicitDist{*implicit};
+  }
 };
 
 using DriverFn = RunResult (*)(const Experiment&, const Resolved&);

@@ -8,8 +8,9 @@
 //
 // Exactness contract: every closed form here reproduces the materialized
 // pipeline bit-for-bit.
-//  * distance() mirrors the oracles in baseline/dist.hpp, which are pinned
-//    against ApspDist on the generated graphs (tests/scale_test.cpp).
+//  * distance() equals the AllPairs distance on the generated graph
+//    (tests/scale_test.cpp); the baselines draw dG from it through
+//    ImplicitDist (baseline/dist.hpp).
 //  * tree_parent() reproduces shortest_path_tree()'s Dijkstra parent. With
 //    unit weights and the heap tie-broken by ascending node id, Dijkstra
 //    sets parent[v] to the minimum-id neighbor of v one hop closer to the

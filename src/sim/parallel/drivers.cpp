@@ -57,32 +57,23 @@ ShardedArrowRun run_arrow_one_shot_sharded(const Tree& tree, const RequestSet& r
 }
 
 QueuingOutcome run_centralized_sharded(NodeId node_count, const RequestSet& requests,
-                                       const DistTicksFn& dist,
-                                       const CentralizedConfig& config,
+                                       const DistOracle& dist, const CentralizedConfig& config,
                                        const ShardSpec& shard) {
-  return with_static_dist(dist, [&](auto oracle) {
-    return detail::run_centralized_one_shot(node_count, requests, oracle, config,
-                                            OnShards{shard});
-  });
+  return detail::run_centralized_one_shot(node_count, requests, dist, config, OnShards{shard});
 }
 
 QueuingOutcome run_pointer_forwarding_sharded(NodeId node_count, const RequestSet& requests,
-                                              const DistTicksFn& dist,
+                                              const DistOracle& dist,
                                               const PointerForwardingConfig& config,
                                               const ShardSpec& shard) {
-  return with_static_dist(dist, [&](auto oracle) {
-    return detail::run_forwarding_one_shot(node_count, requests, oracle, config,
-                                           OnShards{shard});
-  });
+  return detail::run_forwarding_one_shot(node_count, requests, dist, config, OnShards{shard});
 }
 
 ForwardingLoopResult run_pointer_forwarding_closed_loop_sharded(
-    NodeId node_count, std::int64_t requests_per_node, const DistTicksFn& dist,
+    NodeId node_count, std::int64_t requests_per_node, const DistOracle& dist,
     const PointerForwardingConfig& config, const ShardSpec& shard) {
-  return with_static_dist(dist, [&](auto oracle) {
-    return detail::run_forwarding_loop(node_count, requests_per_node, oracle, config,
-                                       OnShards{shard});
-  });
+  return detail::run_forwarding_loop(node_count, requests_per_node, dist, config,
+                                     OnShards{shard});
 }
 
 }  // namespace arrowdq

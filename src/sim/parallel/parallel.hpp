@@ -15,9 +15,9 @@
 //    a safe window. Message faults (loss, duplication, jitter, spikes) are
 //    fully supported — the filter's single RNG stream is consumed at window
 //    barriers in exact serial order.
-//  * Direct sends must carry latency >= 1 tick (asserted), and a custom
-//    ClosedLoopConfig::notify_latency must be pure and thread-safe — lanes
-//    evaluate it concurrently.
+//  * Direct sends must carry latency >= 1 tick (asserted). The baselines'
+//    DistOracle alternatives are pure, so lanes may draw from one
+//    concurrently.
 #pragma once
 
 #include <cstdint>
@@ -71,19 +71,18 @@ ShardedArrowRun run_arrow_one_shot_sharded(const Tree& tree, const RequestSet& r
                                            const FaultSpec& fault, const ShardSpec& shard);
 
 /// Centralized and pointer-forwarding baselines (direct sends against a
-/// distance oracle only; the oracle must be pure — lanes draw concurrently).
+/// distance oracle only; lanes draw from it concurrently).
 QueuingOutcome run_centralized_sharded(NodeId node_count, const RequestSet& requests,
-                                       const DistTicksFn& dist,
-                                       const CentralizedConfig& config,
+                                       const DistOracle& dist, const CentralizedConfig& config,
                                        const ShardSpec& shard);
 
 QueuingOutcome run_pointer_forwarding_sharded(NodeId node_count, const RequestSet& requests,
-                                              const DistTicksFn& dist,
+                                              const DistOracle& dist,
                                               const PointerForwardingConfig& config,
                                               const ShardSpec& shard);
 
 ForwardingLoopResult run_pointer_forwarding_closed_loop_sharded(
-    NodeId node_count, std::int64_t requests_per_node, const DistTicksFn& dist,
+    NodeId node_count, std::int64_t requests_per_node, const DistOracle& dist,
     const PointerForwardingConfig& config, const ShardSpec& shard);
 
 }  // namespace arrowdq

@@ -116,6 +116,23 @@ TEST(Arrow, MessageCountEqualsTotalHops) {
   EXPECT_EQ(engine.messages_sent(), static_cast<std::uint64_t>(out.total_hops()));
 }
 
+TEST(Arrow, MakespanIsTheLastCompletion) {
+  // Fault-free, the run's last event records a completion, so the engine's
+  // makespan is the latest completion time.
+  Rng rng(11);
+  Graph g = make_grid(4, 5);
+  Tree t = shortest_path_tree(g, 2);
+  auto rs = poisson_uniform(20, 2, 25, 1.5, rng);
+  SynchronousLatency sync;
+  ArrowEngine engine(t, sync);
+  auto out = engine.run(rs);
+  Time last = 0;
+  for (RequestId id = 1; id <= out.request_count(); ++id)
+    last = std::max(last, out.completion(id).completed_at);
+  EXPECT_GT(last, 0);
+  EXPECT_EQ(engine.makespan(), last);
+}
+
 TEST(Arrow, LatencyEqualsTreeDistanceToPredecessor) {
   // Equation (1): cA(ri, rj) = dT(vi, vj) in the synchronous model, for all
   // requests, concurrent or not.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "arrow/arrow.hpp"
 #include "arrow/closed_loop.hpp"
@@ -10,6 +11,7 @@
 #include "graph/spanning_tree.hpp"
 #include "sim/latency.hpp"
 #include "support/random.hpp"
+#include "testutil.hpp"
 #include "workload/workloads.hpp"
 
 namespace arrowdq {
@@ -18,14 +20,14 @@ namespace {
 TEST(Centralized, TwoMessagesPerRemoteRequest) {
   Graph g = make_complete(5);
   auto rs = RequestSet::from_units(0, {{1, 0}, {2, 0}, {3, 5}});
-  auto out = run_centralized(5, rs, unit_dist_fn(), CentralizedConfig{0});
+  auto out = run_centralized(5, rs, complete_dist(5), CentralizedConfig{0});
   out.validate(rs);
   for (RequestId id = 1; id <= 3; ++id) EXPECT_EQ(out.completion(id).hops, 2);
 }
 
 TEST(Centralized, CenterRequestIsFree) {
   auto rs = RequestSet::from_units(0, {{0, 0}});
-  auto out = run_centralized(4, rs, unit_dist_fn(), CentralizedConfig{0});
+  auto out = run_centralized(4, rs, complete_dist(4), CentralizedConfig{0});
   EXPECT_EQ(out.completion(1).hops, 0);
   EXPECT_EQ(out.completion(1).completed_at, 0);
 }
@@ -36,7 +38,7 @@ TEST(Centralized, OrderFollowsArrivalAtCenter) {
   Graph g = make_path(4);
   AllPairs apsp(g);
   auto rs = RequestSet::from_units(0, {{3, 0}, {1, 1}});
-  auto out = run_centralized(4, rs, apsp_dist_fn(apsp), CentralizedConfig{0});
+  auto out = run_centralized(4, rs, ApspDist{&apsp}, CentralizedConfig{0});
   auto order = out.order();
   EXPECT_EQ(order, (std::vector<RequestId>{0, 2, 1}));
 }
@@ -45,7 +47,7 @@ TEST(Centralized, RoundTripLatencyUsesGraphDistances) {
   Graph g = make_path(5);
   AllPairs apsp(g);
   auto rs = RequestSet::from_units(0, {{4, 0}});
-  auto out = run_centralized(5, rs, apsp_dist_fn(apsp), CentralizedConfig{0});
+  auto out = run_centralized(5, rs, ApspDist{&apsp}, CentralizedConfig{0});
   EXPECT_EQ(out.completion(1).completed_at, units_to_ticks(8));  // 4 there + 4 back
 }
 
@@ -53,7 +55,7 @@ TEST(Centralized, ServiceTimeSerializesTheCenter) {
   const Time service = 100;
   auto rs = RequestSet::from_units(0, {{1, 0}, {2, 0}, {3, 0}, {4, 0}});
   CentralizedConfig cfg{0, service};
-  auto out = run_centralized(5, rs, unit_dist_fn(), cfg);
+  auto out = run_centralized(5, rs, complete_dist(5), cfg);
   // All four requests arrive at the center at 1 unit; service serializes
   // them 100 ticks apart; replies also pay service at the requesters.
   Time first = out.completion(out.order()[1]).completed_at;
@@ -63,7 +65,7 @@ TEST(Centralized, ServiceTimeSerializesTheCenter) {
 
 TEST(Centralized, ClosedLoopCompletesAllRounds) {
   CentralizedConfig cfg{0, kTicksPerUnit / 16};
-  auto res = run_centralized_closed_loop(8, 50, unit_dist_fn(), cfg);
+  auto res = run_centralized_closed_loop(8, 50, complete_dist(8), cfg);
   EXPECT_EQ(res.total_requests, 400);
   EXPECT_GT(res.makespan, 0);
   // 2 messages per remote request; the center node's own requests are free.
@@ -72,8 +74,8 @@ TEST(Centralized, ClosedLoopCompletesAllRounds) {
 
 TEST(Centralized, ClosedLoopScalesLinearlyWhenSaturated) {
   CentralizedConfig cfg{0, kTicksPerUnit / 8};
-  auto r16 = run_centralized_closed_loop(16, 100, unit_dist_fn(), cfg);
-  auto r32 = run_centralized_closed_loop(32, 100, unit_dist_fn(), cfg);
+  auto r16 = run_centralized_closed_loop(16, 100, complete_dist(16), cfg);
+  auto r32 = run_centralized_closed_loop(32, 100, complete_dist(32), cfg);
   double growth = static_cast<double>(r32.makespan) / static_cast<double>(r16.makespan);
   EXPECT_GT(growth, 1.6);
   EXPECT_LT(growth, 2.4);
@@ -117,6 +119,19 @@ TEST(ArrowClosedLoop, HopsPerRequestBelowOneUnderContention) {
   EXPECT_LT(res.avg_hops_per_request, 1.0);
 }
 
+TEST(ArrowClosedLoop, NotifyCostsOneUnit) {
+  // Path 0 - 1 rooted at 0, one round each: node 0 queues locally at t = 0;
+  // node 1's queue message reaches the sink at t = 1 and the one-unit
+  // notify brings the answer back at t = 2.
+  SynchronousLatency sync;
+  ClosedLoopConfig cfg;
+  cfg.requests_per_node = 1;
+  const ClosedLoopResult res = run_arrow_closed_loop(testutil::path_tree(2), sync, cfg);
+  EXPECT_EQ(res.makespan, units_to_ticks(2));
+  EXPECT_EQ(res.notify_messages, 1u);
+  EXPECT_DOUBLE_EQ(res.avg_round_latency_units, 1.0);
+}
+
 TEST(ArrowClosedLoop, BeatsCentralizedAtScale) {
   const Time service = kTicksPerUnit / 16;
   Graph g = make_complete(64);
@@ -126,15 +141,38 @@ TEST(ArrowClosedLoop, BeatsCentralizedAtScale) {
   acfg.requests_per_node = 200;
   acfg.service_time = service;
   auto arrow = run_arrow_closed_loop(t, sync, acfg);
-  auto central = run_centralized_closed_loop(64, 200, unit_dist_fn(),
+  auto central = run_centralized_closed_loop(64, 200, complete_dist(64),
                                              CentralizedConfig{0, service});
   EXPECT_LT(arrow.makespan, central.makespan);
+}
+
+TEST(DistOracle, CompleteDistIsOneUnitBetweenDistinctNodes) {
+  const ImplicitDist unit = complete_dist(6);
+  for (NodeId u = 0; u < 6; ++u)
+    for (NodeId v = 0; v < 6; ++v) EXPECT_EQ(unit(u, v), u == v ? 0 : kTicksPerUnit);
+}
+
+TEST(DistOracle, CompleteFamilyMatchesTheTableOnACompleteGraph) {
+  // Both alternatives behind every baseline entry point: the closed form
+  // and an AllPairs table over the materialized complete graph agree.
+  const NodeId n = 12;
+  AllPairs apsp(make_complete(n));
+  Rng rng(5);
+  const RequestSet rs = poisson_uniform(n, 0, 40, 2.0, rng);
+  const auto observe = [&](const DistOracle& dist) {
+    return std::vector<Time>{
+        run_centralized(n, rs, dist, CentralizedConfig{}).total_latency(rs),
+        run_pointer_forwarding(n, rs, dist, PointerForwardingConfig{}).total_latency(rs),
+        run_centralized_closed_loop(n, 5, dist, CentralizedConfig{}).makespan,
+        run_pointer_forwarding_closed_loop(n, 5, dist, PointerForwardingConfig{}).makespan};
+  };
+  EXPECT_EQ(observe(complete_dist(n)), observe(ApspDist{&apsp}));
 }
 
 TEST(PointerForwarding, SequentialRequestsTerminateAndOrder) {
   auto rs = RequestSet::from_units(0, {{1, 0}, {2, 10}, {3, 20}});
   PointerForwardingConfig cfg;
-  auto out = run_pointer_forwarding(4, rs, unit_dist_fn(), cfg);
+  auto out = run_pointer_forwarding(4, rs, complete_dist(4), cfg);
   out.validate(rs);
   EXPECT_EQ(out.order(), (std::vector<RequestId>{0, 1, 2, 3}));
 }
@@ -145,7 +183,7 @@ TEST(PointerForwarding, ConcurrentBurstValidOrder) {
   for (auto mode : {ForwardingMode::kCompressToRequester, ForwardingMode::kReverseToSender}) {
     PointerForwardingConfig cfg;
     cfg.mode = mode;
-    auto out = run_pointer_forwarding(12, rs, unit_dist_fn(), cfg);
+    auto out = run_pointer_forwarding(12, rs, complete_dist(12), cfg);
     out.validate(rs);
   }
 }
@@ -164,7 +202,7 @@ TEST(PointerForwarding, BothModesKeepSequentialFindsShort) {
   for (auto mode : {ForwardingMode::kCompressToRequester, ForwardingMode::kReverseToSender}) {
     PointerForwardingConfig cfg;
     cfg.mode = mode;
-    auto out = run_pointer_forwarding(n, rs, unit_dist_fn(), cfg);
+    auto out = run_pointer_forwarding(n, rs, complete_dist(n), cfg);
     double avg = static_cast<double>(out.total_hops()) / rs.size();
     EXPECT_LT(avg, static_cast<double>(n) / 3.0);
   }
@@ -181,7 +219,7 @@ TEST(PointerForwarding, GinatAmortizedLogBoundHolds) {
     items.emplace_back(static_cast<NodeId>(rng.next_below(n)), i * 3);
   auto rs = RequestSet::from_units(0, items);
   PointerForwardingConfig cfg;
-  auto out = run_pointer_forwarding(n, rs, unit_dist_fn(), cfg);
+  auto out = run_pointer_forwarding(n, rs, complete_dist(n), cfg);
   double avg = static_cast<double>(out.total_hops()) / rs.size();
   EXPECT_LT(avg, 3.0 * std::log2(static_cast<double>(n)));
 }

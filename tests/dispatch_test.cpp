@@ -118,7 +118,7 @@ TEST(StaticDispatch, OneShotReplaysAndDrawsOncePerMessage) {
     EXPECT_EQ(e_a.links(), e_b.links()) << "seed " << seed;
     EXPECT_EQ(e_a.sink_node(), e_b.sink_node()) << "seed " << seed;
     EXPECT_EQ(e_a.messages_sent(), e_b.messages_sent()) << "seed " << seed;
-    EXPECT_EQ(e_a.sim().now(), e_b.sim().now()) << "seed " << seed;
+    EXPECT_EQ(e_a.makespan(), e_b.makespan()) << "seed " << seed;
 
     auto twin = model_for(seed);
     for (std::uint64_t i = 0; i < e_a.messages_sent(); ++i) twin->sample(0, 1, 1);

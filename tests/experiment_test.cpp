@@ -176,7 +176,7 @@ TEST(Experiment, CentralizedOneShotMatchesLegacy) {
     cfg.center = center;
     cfg.service_time = service;
     QueuingOutcome legacy = run_centralized(inst.graph.node_count(), inst.requests,
-                                            apsp_dist_fn(apsp), cfg);
+                                            ApspDist{&apsp}, cfg);
     ASSERT_TRUE(res.outcome.has_value()) << "seed " << seed;
     expect_outcomes_equal(*res.outcome, legacy, seed);
     EXPECT_EQ(res.total_latency, legacy.total_latency(inst.requests)) << "seed " << seed;
@@ -194,7 +194,7 @@ TEST(Experiment, CentralizedClosedLoopMatchesLegacy) {
     CentralizedConfig cfg;
     cfg.center = 0;
     cfg.service_time = kTicksPerUnit / 16;
-    CentralizedLoopResult legacy = run_centralized_closed_loop(n, 30, unit_dist_fn(), cfg);
+    CentralizedLoopResult legacy = run_centralized_closed_loop(n, 30, complete_dist(n), cfg);
     EXPECT_EQ(res.makespan, legacy.makespan) << n;
     EXPECT_EQ(res.total_requests, legacy.total_requests) << n;
     EXPECT_EQ(res.messages, legacy.messages) << n;
@@ -225,7 +225,7 @@ TEST(Experiment, PointerForwardingClosedLoopMatchesLegacy) {
     cfg.service_time = service;
     cfg.initial_owner = inst.tree.root();
     ForwardingLoopResult legacy = run_pointer_forwarding_closed_loop(
-        inst.graph.node_count(), rounds, apsp_dist_fn(apsp), cfg);
+        inst.graph.node_count(), rounds, ApspDist{&apsp}, cfg);
 
     EXPECT_EQ(res.makespan, legacy.makespan) << "seed " << seed;
     EXPECT_EQ(res.total_requests, legacy.total_requests) << "seed " << seed;
@@ -258,7 +258,7 @@ TEST(Experiment, PointerForwardingMatchesLegacyBothModes) {
     cfg.service_time = service;
     cfg.initial_owner = inst.tree.root();
     QueuingOutcome legacy = run_pointer_forwarding(inst.graph.node_count(), inst.requests,
-                                                   apsp_dist_fn(apsp), cfg);
+                                                   ApspDist{&apsp}, cfg);
     ASSERT_TRUE(res.outcome.has_value()) << "seed " << seed;
     expect_outcomes_equal(*res.outcome, legacy, seed);
   }

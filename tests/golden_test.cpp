@@ -72,7 +72,7 @@ std::uint64_t arrow_case_hash(int seed) {
   for (NodeId link : engine.links()) h.add_signed(link);
   h.add_signed(engine.sink_node());
   h.add(engine.messages_sent());
-  h.add_signed(engine.sim().now());
+  h.add_signed(engine.makespan());
   return h.value();
 }
 
@@ -99,7 +99,7 @@ std::uint64_t closed_loop_case_hash(int seed) {
 std::uint64_t baseline_case_hash(int seed) {
   auto inst = testutil::make_instance(seed);
   AllPairs apsp(inst.graph);
-  auto dist = apsp_dist_fn(apsp);
+  auto dist = ApspDist{&apsp};
   Fnv1a h;
   {
     CentralizedConfig cfg;
@@ -132,7 +132,7 @@ std::uint64_t forwarding_loop_case_hash(int seed) {
   cfg.service_time = seed % 3 == 0 ? 0 : kTicksPerUnit / 16;
   cfg.initial_owner = inst.requests.root();
   ForwardingLoopResult res = run_pointer_forwarding_closed_loop(
-      inst.graph.node_count(), 10 + seed % 6, apsp_dist_fn(apsp), cfg);
+      inst.graph.node_count(), 10 + seed % 6, ApspDist{&apsp}, cfg);
   Fnv1a h;
   h.add_signed(res.makespan);
   h.add_signed(res.total_requests);
@@ -205,7 +205,7 @@ std::uint64_t arrow_recovery_case_hash(int c, RecoveryCounters* seen = nullptr) 
   for (NodeId link : engine.links()) h.add_signed(link);
   h.add_signed(engine.sink_node());
   h.add(engine.messages_sent());
-  h.add_signed(engine.sim().now());
+  h.add_signed(engine.makespan());
   h.add(engine.fault_stats().partition_deferred);
   hash_recovery(h, engine.recovery());
   if (seen) *seen = engine.recovery();
@@ -326,7 +326,7 @@ TEST(GoldenDeterminism, ForwardingClosedLoopOneRoundMatchesOneShot) {
     const NodeId n = inst.graph.node_count();
     const NodeId owner = inst.requests.root();
     AllPairs apsp(inst.graph);
-    auto dist = apsp_dist_fn(apsp);
+    auto dist = ApspDist{&apsp};
     for (auto mode : {ForwardingMode::kCompressToRequester, ForwardingMode::kReverseToSender}) {
       PointerForwardingConfig cfg;
       cfg.mode = mode;

@@ -112,7 +112,7 @@ std::uint64_t sharded_closed_loop_case_hash(int seed, const ShardSpec& spec) {
 std::uint64_t sharded_baseline_case_hash(int seed, const ShardSpec& spec) {
   auto inst = testutil::make_instance(seed);
   AllPairs apsp(inst.graph);
-  auto dist = apsp_dist_fn(apsp);
+  auto dist = ApspDist{&apsp};
   Fnv1a h;
   {
     CentralizedConfig cfg;
@@ -143,7 +143,7 @@ std::uint64_t sharded_forwarding_loop_case_hash(int seed, const ShardSpec& spec)
   cfg.service_time = seed % 3 == 0 ? 0 : kTicksPerUnit / 16;
   cfg.initial_owner = inst.requests.root();
   ForwardingLoopResult res = run_pointer_forwarding_closed_loop_sharded(
-      inst.graph.node_count(), 10 + seed % 6, apsp_dist_fn(apsp), cfg, spec);
+      inst.graph.node_count(), 10 + seed % 6, ApspDist{&apsp}, cfg, spec);
   Fnv1a h;
   h.add_signed(res.makespan);
   h.add_signed(res.total_requests);
@@ -243,7 +243,7 @@ TEST(ShardedDeterminism, SameTickCrossShardTies) {
     for (NodeId link : engine.links()) h.add_signed(link);
     h.add_signed(engine.sink_node());
     h.add(engine.messages_sent());
-    h.add_signed(engine.sim().now());
+    h.add_signed(engine.makespan());
     return h.value();
   }();
   const std::vector<std::vector<NodeId>> partitions = {
@@ -379,7 +379,7 @@ TEST(ShardedEquivalence, ArrowOneShotUnderMessageFaults) {
       for (NodeId link : engine.links()) h.add_signed(link);
       h.add_signed(engine.sink_node());
       h.add(engine.messages_sent());
-      h.add_signed(engine.sim().now());
+      h.add_signed(engine.makespan());
       return h.value();
     }();
     for (int k : {1, 2, 4}) {
@@ -402,7 +402,7 @@ TEST(ShardedEquivalence, ForwardingLoopUnderMessageFaults) {
   for (int seed = 0; seed < 6; ++seed) {
     auto inst = testutil::make_instance(seed * 3 + 1);
     AllPairs apsp(inst.graph);
-    auto dist = apsp_dist_fn(apsp);
+    auto dist = ApspDist{&apsp};
     PointerForwardingConfig cfg;
     cfg.mode = seed % 2 ? ForwardingMode::kReverseToSender : ForwardingMode::kCompressToRequester;
     cfg.service_time = seed % 3 == 0 ? 0 : kTicksPerUnit / 16;
@@ -458,7 +458,7 @@ TEST(ShardedEquivalence, BaselineOneShotsUnderMessageFaults) {
   for (int seed = 0; seed < 8; ++seed) {
     auto inst = testutil::make_instance(seed * 5 + 3);
     AllPairs apsp(inst.graph);
-    auto dist = apsp_dist_fn(apsp);
+    auto dist = ApspDist{&apsp};
     const NodeId n = inst.graph.node_count();
     FaultSpec fault = faults[seed % 4];
     fault.seed = static_cast<std::uint64_t>(seed) * 61 + 29;
@@ -511,7 +511,7 @@ TEST(ShardedEntryDeathTest, RefusesTopologyFaults) {
   auto inst = testutil::make_instance(4);
   const Tree tree = testutil::make_tree_instance(4).tree;
   AllPairs apsp(inst.graph);
-  auto dist = apsp_dist_fn(apsp);
+  auto dist = ApspDist{&apsp};
   const NodeId n = inst.graph.node_count();
   const RequestSet tree_requests = one_shot_all(tree.node_count(), tree.root());
   for (const FaultSpec& fault :

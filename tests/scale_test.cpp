@@ -1,9 +1,10 @@
-// Scale-path invariants: closed-form distance oracles, implicit topologies,
-// and the compact closed-loop driver.
+// Scale-path invariants: implicit topologies (the closed forms behind the
+// baselines' ImplicitDist oracle) and the compact closed-loop driver.
 //
 // The contract under test is exactness, not approximation:
-//  * every closed-form oracle returns bit-identical ticks to the APSP table
-//    it replaces, over all pairs;
+//  * every closed-form distance returns bit-identical ticks to the APSP
+//    table it replaces, over all pairs, and a baseline cell reports the same
+//    numbers on either oracle;
 //  * implicit adjacency enumerates exactly the materialized generator's
 //    edges;
 //  * implicit tree parents reproduce shortest_path_tree()'s min-id Dijkstra
@@ -18,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "arrow/closed_loop.hpp"
@@ -32,53 +35,6 @@
 
 namespace arrowdq {
 namespace {
-
-// --- closed-form oracles vs APSP -------------------------------------------
-
-template <typename Oracle>
-void expect_oracle_matches_apsp(const Graph& g, Oracle oracle) {
-  AllPairs apsp(g);
-  ApspDist ref{&apsp};
-  const NodeId n = g.node_count();
-  for (NodeId u = 0; u < n; ++u)
-    for (NodeId v = 0; v < n; ++v)
-      ASSERT_EQ(oracle(u, v), ref(u, v)) << oracle.name() << " dist(" << u << ", " << v << ")";
-}
-
-TEST(ClosedFormOracles, PathMatchesApspBitIdentical) {
-  expect_oracle_matches_apsp(make_path(129), PathDist{});
-}
-
-TEST(ClosedFormOracles, RingMatchesApspBitIdentical) {
-  expect_oracle_matches_apsp(make_ring(97), RingDist{97});
-  expect_oracle_matches_apsp(make_ring(96), RingDist{96});  // even n: antipode tie
-}
-
-TEST(ClosedFormOracles, GridMatchesApspBitIdentical) {
-  expect_oracle_matches_apsp(make_grid(7, 19), GridDist{19});  // non-square
-  expect_oracle_matches_apsp(make_grid(16, 8), GridDist{8});
-  expect_oracle_matches_apsp(make_grid(1, 24), GridDist{24});  // degenerate row
-}
-
-TEST(ClosedFormOracles, TorusMatchesApspBitIdentical) {
-  expect_oracle_matches_apsp(make_torus(5, 11), TorusDist{5, 11});  // non-square
-  expect_oracle_matches_apsp(make_torus(8, 8), TorusDist{8, 8});
-}
-
-TEST(ClosedFormOracles, HypercubeMatchesApspBitIdentical) {
-  expect_oracle_matches_apsp(make_hypercube(9), HypercubeDist{});  // n = 512
-}
-
-TEST(ClosedFormOracles, StaticDispatchRecognizesOracles) {
-  // with_static_dist must route each closed-form oracle to its typed slot:
-  // wrapping one in a DistTicksFn and dispatching must reproduce its values.
-  AllPairs apsp(make_torus(4, 5));
-  TorusDist torus{4, 5};
-  DistTicksFn fn = torus;
-  for (NodeId u = 0; u < 20; ++u)
-    for (NodeId v = 0; v < 20; ++v)
-      EXPECT_EQ(fn(u, v), ApspDist{&apsp}(u, v)) << u << "," << v;
-}
 
 // --- implicit adjacency vs materialized generators --------------------------
 
@@ -114,8 +70,16 @@ ImplicitTopology implicit_for(const TopologySpec& t) {
 }
 
 std::vector<TopologySpec> structured_specs() {
-  return {TopologySpec::complete(17), TopologySpec::path(33),   TopologySpec::ring(29),
-          TopologySpec::grid(6, 7),   TopologySpec::torus(4, 5), TopologySpec::hypercube(5)};
+  return {TopologySpec::complete(17),
+          TopologySpec::path(33),
+          TopologySpec::ring(29),
+          TopologySpec::ring(96),  // even n: antipode tie
+          TopologySpec::grid(6, 7),
+          TopologySpec::grid(1, 24),  // degenerate row
+          TopologySpec::torus(4, 5),
+          TopologySpec::torus(5, 11),  // non-square
+          TopologySpec::hypercube(5),
+          TopologySpec::hypercube(9)};
 }
 
 TEST(ImplicitTopology, NeighborsMatchMaterializedAdjacency) {
@@ -145,6 +109,30 @@ TEST(ImplicitTopology, DistancesMatchApsp) {
       for (NodeId v = 0; v < g.node_count(); ++v)
         ASSERT_EQ(units_to_ticks(topo.distance(u, v)), ApspDist{&apsp}(u, v))
             << spec.family_name() << " dist(" << u << ", " << v << ")";
+  }
+}
+
+// Both oracle alternatives keep distinct nodes at least one unit apart: the
+// sharded baseline engines fold kTicksPerUnit into their lookahead, so a
+// shorter draw would let a lane run past a message still in flight.
+TEST(DistOracle, DistinctNodesAreAtLeastTheLookaheadFloor) {
+  const auto expect_floor = [](const DistOracle& oracle, NodeId n, const std::string& name) {
+    std::visit(
+        [&](const auto& dist) {
+          for (NodeId u = 0; u < n; ++u)
+            for (NodeId v = 0; v < n; ++v) {
+              if (u == v) continue;
+              ASSERT_GE(dist(u, v), kTicksPerUnit) << name << " (" << u << ", " << v << ")";
+            }
+        },
+        oracle);
+  };
+  for (const TopologySpec& spec : structured_specs())
+    expect_floor(ImplicitDist{implicit_for(spec)}, spec.nodes, spec.family_name());
+  for (const TopologySpec& spec :
+       {TopologySpec::random_tree(40, /*seed=*/2), TopologySpec::geometric(40, /*seed=*/2)}) {
+    AllPairs apsp(spec.build_graph());
+    expect_floor(ApspDist{&apsp}, spec.nodes, spec.family_name());
   }
 }
 
@@ -258,7 +246,13 @@ TEST(ScaleResolve, StructuredBaselineSkipsApspAndGraph) {
   EXPECT_FALSE(r.apsp.has_value()) << "torus must use the closed-form oracle, not APSP";
   EXPECT_EQ(r.graph.node_count(), 0) << "no Graph should be materialized";
   EXPECT_EQ(r.n, 64);
-  EXPECT_EQ(r.dist, exp_detail::DistOracle::kTorus);
+  const DistOracle oracle = r.oracle();
+  ASSERT_TRUE(std::holds_alternative<ImplicitDist>(oracle));
+  const ImplicitTopology& topo = std::get<ImplicitDist>(oracle).topo;
+  EXPECT_EQ(topo.family, ImplicitFamily::kTorus);
+  EXPECT_EQ(topo.n, 64);
+  EXPECT_EQ(topo.rows, 8);
+  EXPECT_EQ(topo.cols, 8);
 }
 
 TEST(ScaleResolve, IrregularBaselineStillBuildsApsp) {
@@ -267,9 +261,31 @@ TEST(ScaleResolve, IrregularBaselineStillBuildsApsp) {
   e.topology = TopologySpec::geometric(48, /*seed=*/3);
   e.rounds = 5;
   const exp_detail::Resolved r = exp_detail::resolve(e);
-  EXPECT_TRUE(r.apsp.has_value());
-  EXPECT_EQ(r.dist, exp_detail::DistOracle::kApsp);
+  ASSERT_TRUE(r.apsp.has_value());
+  const DistOracle oracle = r.oracle();
+  ASSERT_TRUE(std::holds_alternative<ApspDist>(oracle));
+  EXPECT_EQ(std::get<ApspDist>(oracle).apsp, &*r.apsp);
   EXPECT_EQ(r.n, 48);
+}
+
+// oracle() is built on demand, so a moved Resolved hands out an oracle over
+// its own table and closed form, never the moved-from one's.
+TEST(ScaleResolve, OracleFollowsAMovedResolved) {
+  Experiment e;
+  e.protocol = ProtocolSpec::centralized();
+  e.topology = TopologySpec::geometric(48, /*seed=*/3);
+  e.rounds = 5;
+  exp_detail::Resolved from = exp_detail::resolve(e);
+  const exp_detail::Resolved irregular = std::move(from);
+  ASSERT_TRUE(irregular.apsp.has_value());
+  EXPECT_EQ(std::get<ApspDist>(irregular.oracle()).apsp, &*irregular.apsp);
+
+  e.topology = TopologySpec::torus(5, 11);
+  exp_detail::Resolved from_torus = exp_detail::resolve(e);
+  const exp_detail::Resolved structured = std::move(from_torus);
+  const ImplicitDist dist = std::get<ImplicitDist>(structured.oracle());
+  EXPECT_EQ(dist.topo.family, ImplicitFamily::kTorus);
+  EXPECT_EQ(dist(0, 5 * 11 - 1), ImplicitDist{implicit_for(e.topology)}(0, 5 * 11 - 1));
 }
 
 // The irregular-family table fills only the rows a run reads: the
@@ -334,29 +350,60 @@ TEST(ScaleResolve, AnalysisForcesMaterialization) {
   EXPECT_FALSE(r.implicit_loop);
 }
 
+/// Run `e` on its structured family (implicit tier, ImplicitDist for the
+/// baselines), then the identical cell forced onto the materialized path
+/// (AllPairs dG) via a custom topology, and expect the same numbers.
+RunResult expect_implicit_matches_materialized(Experiment e) {
+  const RunResult implicit_run = run_experiment(e);
+  const Graph g = e.topology.build_graph();
+  e.topology = TopologySpec::custom(g, shortest_path_tree(g, e.topology.root));
+  const RunResult materialized_run = run_experiment(e);
+  EXPECT_EQ(implicit_run.makespan, materialized_run.makespan);
+  EXPECT_EQ(implicit_run.total_requests, materialized_run.total_requests);
+  EXPECT_EQ(implicit_run.messages, materialized_run.messages);
+  EXPECT_EQ(implicit_run.total_hops, materialized_run.total_hops);
+  EXPECT_EQ(implicit_run.total_latency, materialized_run.total_latency);
+  EXPECT_EQ(implicit_run.avg_round_latency_units, materialized_run.avg_round_latency_units);
+  return implicit_run;
+}
+
 TEST(ScaleResolve, ImplicitExperimentMatchesMaterializedExperiment) {
-  // End to end through run_experiment: an arrow-loop cell on a structured
-  // family (implicit path) must report the same numbers as the identical
-  // cell forced onto the materialized path via a custom topology.
+  // End to end through run_experiment. The arrow loop on a ring runs the
+  // implicit driver; the baselines draw dG from the closed form.
   Experiment e;
   e.protocol = ProtocolSpec::arrow_closed_loop(kTicksPerUnit / 16);
   e.topology = TopologySpec::ring(64);
   e.latency = LatencySpec::uniform_async(/*seed=*/9, 0.1);
   e.rounds = 10;
-  const RunResult implicit_run = run_experiment(e);
-
-  Experiment m = e;
-  const Graph g = TopologySpec::ring(64).build_graph();
-  m.topology = TopologySpec::custom(g, shortest_path_tree(g, 0));
-  const RunResult materialized_run = run_experiment(m);
-
-  EXPECT_EQ(implicit_run.makespan, materialized_run.makespan);
-  EXPECT_EQ(implicit_run.total_requests, materialized_run.total_requests);
-  EXPECT_EQ(implicit_run.messages, materialized_run.messages);
-  EXPECT_EQ(implicit_run.total_hops, materialized_run.total_hops);
+  const RunResult implicit_run = expect_implicit_matches_materialized(e);
 #if defined(__unix__) || defined(__APPLE__)
   EXPECT_GT(implicit_run.peak_rss_bytes, 0u);
 #endif
+
+  // Every baseline mode on every structured family, serial and at two
+  // shards (the centralized closed loop is serial-only).
+  const ProtocolSpec baselines[] = {
+      ProtocolSpec::centralized(/*center=*/0, kTicksPerUnit / 16),
+      ProtocolSpec::pointer_forwarding(ForwardingMode::kCompressToRequester),
+      ProtocolSpec::pointer_forwarding(ForwardingMode::kReverseToSender)};
+  for (const TopologySpec& spec : structured_specs()) {
+    for (const ProtocolSpec& proto : baselines) {
+      for (const std::int64_t rounds : {std::int64_t{0}, std::int64_t{4}}) {
+        for (const int shards : {1, 2}) {
+          if (proto.kind == Protocol::kCentralized && rounds > 0 && shards > 1) continue;
+          Experiment b;
+          b.protocol = proto;
+          b.topology = spec;
+          b.rounds = rounds;
+          b.workload = WorkloadSpec::poisson(48, 2.0, /*seed=*/7);
+          b.shards = shards;
+          SCOPED_TRACE(b.default_label() + " rounds " + std::to_string(rounds) + " shards " +
+                       std::to_string(shards));
+          expect_implicit_matches_materialized(b);
+        }
+      }
+    }
+  }
 }
 
 // --- validation guards ------------------------------------------------------

@@ -102,7 +102,7 @@ TEST(BaselineStress, PointerForwardingHeavyConcurrency) {
   for (auto mode : {ForwardingMode::kCompressToRequester, ForwardingMode::kReverseToSender}) {
     PointerForwardingConfig cfg;
     cfg.mode = mode;
-    auto out = run_pointer_forwarding(n, reqs, unit_dist_fn(), cfg);
+    auto out = run_pointer_forwarding(n, reqs, complete_dist(n), cfg);
     out.validate(reqs);
   }
 }
@@ -112,7 +112,7 @@ TEST(BaselineStress, CentralizedHeavyConcurrency) {
   Rng rng(2);
   auto reqs = one_shot_all(n, 0);
   CentralizedConfig cfg{0, kTicksPerUnit / 8};
-  auto out = run_centralized(n, reqs, unit_dist_fn(), cfg);
+  auto out = run_centralized(n, reqs, complete_dist(n), cfg);
   out.validate(reqs);
   // Service serializes the center: the last completion is at least
   // (n-1) service intervals after the first.
