@@ -1,4 +1,5 @@
-// Engine microbenchmarks (google-benchmark): event-queue throughput, tree
+// Engine microbenchmarks (google-benchmark): event-queue throughput (a
+// simulator schedule/run pass and a hold model on the bare queue), tree
 // distance queries, lazy dG row fills, and end-to-end arrow simulation
 // rates. These guard the simulator's performance so the Figure 10
 // experiment stays cheap to re-run at the paper's full 100000
@@ -36,6 +37,54 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
+
+// Hold model on the bare event queue: drain the earliest instant with
+// pop_run, then push one successor per drained entry at its time plus a
+// delay, so the pending count stays fixed. range(0) is the pending count;
+// range(1) the delay shape: 0 near-distinct (0.1-1 unit), 1 mostly beyond
+// the wheel (1 tick to 32 units), 2 tie-heavy (64 or 1024 ticks). Items
+// are entries moved (one pop plus one push); time_per_op is the time per item.
+void BM_EventQueueHold(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  std::vector<Time> delays(std::size_t{1} << 16);
+  Rng rng(11);
+  for (Time& d : delays) {
+    switch (state.range(1)) {
+      case 0:
+        d = kTicksPerUnit / 10 + static_cast<Time>(rng.next_below(kTicksPerUnit * 9 / 10 + 1));
+        break;
+      case 1:
+        d = 1 + static_cast<Time>(rng.next_below(32 * kTicksPerUnit));
+        break;
+      default:
+        d = rng.next_bool(0.5) ? 64 : 1024;
+    }
+  }
+  std::size_t next_delay = 0;
+  auto delay = [&] { return delays[next_delay++ & (delays.size() - 1)]; };
+  BucketedEventQueue q;
+  std::uint64_t seq = 0;
+  for (std::size_t i = 0; i < pending; ++i)
+    q.push(EventEntry::make(delay(), seq++, static_cast<std::uint32_t>(i)));
+  std::vector<EventEntry> run;
+  auto hold = [&] {
+    run.clear();
+    q.pop_run(run);
+    for (const EventEntry& e : run) q.push(EventEntry::make(e.t + delay(), seq++, e.slot()));
+    return static_cast<std::int64_t>(run.size());
+  };
+  // Warm up into the steady state: every initial entry moved twice.
+  for (std::int64_t moved = 0; moved < 2 * static_cast<std::int64_t>(pending);) moved += hold();
+  std::int64_t moved = 0;
+  for (auto _ : state) {
+    moved += hold();
+    benchmark::DoNotOptimize(run.data());
+  }
+  state.SetItemsProcessed(moved);
+  state.counters["time_per_op"] = benchmark::Counter(
+      static_cast<double>(moved), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EventQueueHold)->ArgsProduct({{512, 20480, 1310720}, {0, 1, 2}});
 
 void BM_TreeDistanceQueries(benchmark::State& state) {
   Rng rng(1);

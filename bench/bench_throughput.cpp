@@ -5,7 +5,7 @@
 //
 //  1. event_core      — schedule N events at pseudo-random times, drain the
 //                       queue. Legacy priority_queue+std::function vs the
-//                       pooled arena over the bucketed calendar queue.
+//                       pooled arena over the exact-tick wheel queue.
 //  2. network         — sustained ping-pong message streams over star edges
 //                       with a serial service time: legacy vs the pooled
 //                       core's static dispatch (typed handler + value

@@ -37,9 +37,12 @@
 //    local events — sends are bounded below by L) are enqueued immediately
 //    under a provisional key above every real seq (kProvBase + i, FIFO
 //    within the window) and executed in-window; the barrier later assigns
-//    their real seq so their children's parent keys resolve. Per-bucket
+//    their real seq so their children's parent keys resolve. Per-instant
 //    push order in the lane queues stays ascending (final seqs first, then
-//    provisional keys), which is all BucketedEventQueue requires.
+//    provisional keys), and no push lands before a lane's last drained
+//    instant; that is all BucketedEventQueue requires. Its per-instant
+//    order is push order whether an entry went straight to its wheel slot
+//    or waited in the overflow and migrated when the window reached it.
 //
 // The result: for any K — including K = 1, which runs the identical
 // window/log/merge machinery inline with no threads — every event executes

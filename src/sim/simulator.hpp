@@ -16,14 +16,17 @@
 // keeps nested scheduling safe against arena growth and lets the freed slot
 // be reused immediately.
 //
-// Same-tick batch draining: step() moves the whole bucket of entries sharing
-// the earliest timestamp out of the queue at once (pop_run) and executes
-// them from a flat buffer, so bursty instants — the n simultaneous issue()
-// events of a closed loop, multicast fan-outs — pay one heap operation
-// instead of one per event. Events scheduled *during* a batch at the same
-// instant carry higher sequence numbers than everything in the buffer, so
-// running them in the next refill preserves the exact (time, seq) order;
-// the golden determinism suite pins this.
+// Same-tick batch draining: step() moves the whole run of entries sharing
+// the earliest timestamp out of the queue at once (pop_run: one bitmap scan
+// to the instant's wheel slot and one vector swap) and executes them from a
+// flat buffer, so bursty instants — the n simultaneous issue() events of a
+// closed loop, multicast fan-outs — pay the queue once per instant instead
+// of once per event. Events scheduled *during* a batch at the same instant
+// carry higher sequence numbers than everything in the buffer, so running
+// them in the next refill preserves the exact (time, seq) order; the golden
+// determinism suite pins this. The queue's one precondition, no push before
+// the last drained instant, is implied by the "cannot schedule into the
+// past" assert: now() never falls behind an instant already drained.
 //
 // The one template parameter is the slot width: Simulator (48 inline bytes,
 // 64-byte slots) for the protocol drivers, CompactSimulator (16 inline
@@ -104,12 +107,9 @@ class BasicSimulator {
 
   Time now() const { return now_; }
 
-  /// Capacity hint: pre-size the arena and queue for ~n concurrently
-  /// pending events so the hot path never reallocates.
-  void reserve(std::size_t n_events) {
-    slots_.reserve(n_events);
-    queue_.reserve(n_events);
-  }
+  /// Capacity hint: pre-size the arena for ~n concurrently pending events
+  /// so the hot path never reallocates it.
+  void reserve(std::size_t n_events) { slots_.reserve(n_events); }
 
   /// Schedule `fn` at absolute time t >= now().
   template <typename F>
@@ -130,7 +130,7 @@ class BasicSimulator {
   /// to reproduce the serial core's global (time, seq) order across shard
   /// queues: barrier merges assign each event the rank the serial run would
   /// have given it. Caller contract (required by BucketedEventQueue): for
-  /// any single time bucket, successive pushes must carry increasing seqs.
+  /// any single instant, successive pushes must carry increasing seqs.
   template <typename F>
   void at_seq(Time t, std::uint64_t seq, F&& fn) {
     ARROWDQ_ASSERT_MSG(seq < EventEntry::kMaxSeq, "event sequence out of range");
@@ -265,7 +265,8 @@ class BasicSimulator {
 
   /// A moved-from simulator must stay usable: the free list (which would
   /// point into the old arena) must be emptied, and so must the queue —
-  /// its move leaves stale size and map scalars behind that clear() resets.
+  /// its move leaves the wheel's slot table and scalars behind, which
+  /// clear() resets.
   void reset_moved_from() {
     queue_.clear();
     batch_.clear();

@@ -57,6 +57,30 @@ TEST(SimulatorTest, RunUntilStopsAndAdvancesClock) {
   EXPECT_EQ(fired, 2);
 }
 
+// run_until peeks at the next pending time and stops short of it; the
+// caller may then schedule anywhere in [t_end, next pending time). The peek
+// must not move the queue's window past those times, whether the pending
+// event sits within the queue's wheel or beyond it.
+TEST(SimulatorTest, ScheduleBetweenRunUntilEndAndNextPendingRunsInOrder) {
+  constexpr auto kWheel = static_cast<Time>(BucketedEventQueue::kWheel);
+  for (const Time next : {Time{3000}, 40 * kWheel}) {
+    SCOPED_TRACE(next);
+    Simulator sim;
+    std::vector<int> order;
+    sim.at(100, [&] { order.push_back(0); });
+    sim.at(next, [&] { order.push_back(4); });
+    const Time t_end = next / 2;
+    sim.run_until(t_end);
+    EXPECT_EQ(sim.now(), t_end);
+    sim.at(next - 1, [&] { order.push_back(3); });
+    sim.at(t_end, [&] { order.push_back(1); });
+    sim.at(t_end + 1, [&] { order.push_back(2); });
+    sim.at(next, [&] { order.push_back(5); });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  }
+}
+
 // Regression for the event-core rewrite: equal-time ties must execute in
 // schedule order even when many events share one instant and new same-time
 // events are scheduled from inside handlers (the old core's
