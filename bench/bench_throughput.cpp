@@ -1,22 +1,30 @@
 // Event-core and end-to-end throughput benchmark with JSON output.
 //
-// Measures every layer the PR-2/PR-3 rewrites touched, each before/after in
-// one binary (the "before" is the verbatim legacy core in legacy_sim.hpp):
+// Measures each layer of the simulator in one binary. One frozen reference
+// runs next to it: the pre-rewrite priority_queue + std::function core in
+// legacy_sim.hpp, which never changes with src/. The gate
+// (scripts/bench_gate.py) divides every throughput by a same-run reference;
+// event_core_tiny's pooled-vs-legacy row is the only one whose reference
+// lies outside src/, so it is the only row that catches a uniform slowdown
+// of the event core (in every other row it cancels).
 //
-//  1. event_core      — schedule N events at pseudo-random times, drain the
-//                       queue. Legacy priority_queue+std::function vs the
-//                       pooled arena over the exact-tick wheel queue.
+//  1. event_core      — schedule N events at pseudo-random times on the
+//                       pooled arena over the exact-tick wheel queue and
+//                       drain it, with protocol-sized (40-byte) captures.
+//     event_core_tiny — the same with 8-byte captures, on the pooled core
+//                       and on the frozen legacy core.
+//     event_core_compact — 16-byte captures on 64-byte vs 32-byte slots.
 //  2. network         — sustained ping-pong message streams over star edges
-//                       with a serial service time: legacy vs the pooled
-//                       core's static dispatch (typed handler + value
-//                       sampler).
-//  3. closed_loop     — the Figure 10 macro workload at n=1024 processors:
-//                       legacy driver replica vs the statically dispatched
-//                       driver. Both must agree tick-for-tick on makespan
-//                       and message counts (asserted).
-//  4. sweep_scaling   — a fixed scenario set through SweepRunner at 1, 2
-//                       and 4 threads; per-thread-count wall time and
-//                       speedup, plus the determinism cross-check.
+//                       with a serial service time, on the statically
+//                       dispatched Network (typed handler + value sampler).
+//  3. closed_loop     — the Figure 10 macro workload at n=1024 processors
+//                       on the statically dispatched driver
+//                       (tests/experiment_test.cpp pins its makespan and
+//                       message counts).
+//  4. sweep_scaling   — eight closed-loop (latency, config) points mapped
+//                       through SweepRunner at 1, 2 and 4 threads;
+//                       per-thread-count wall time and speedup, plus the
+//                       determinism cross-check.
 //  5. fig10_scale     — the Figure 10 workload on the implicit scale tier
 //                       (closed-form hypercube, CompactSimulator's 32-byte
 //                       slots, no Graph/Tree/APSP) at n = 2^20 / 2^22 /
@@ -125,17 +133,14 @@ std::uint64_t schedule_run_tiny(std::size_t n_events) {
 }
 
 /// Protocol-sized 40-byte capture, the size of ArrowEngine's issue closure:
-/// exceeds std::function's inline buffer, so the legacy core heap-allocates
-/// per event exactly as it does in the real protocol; the pooled core stays
-/// on the inline arena path.
-template <typename Sim>
+/// it stays on the pooled core's inline arena path.
 std::uint64_t schedule_run_protocol(std::size_t n_events) {
   struct ProtocolEvent {
     std::uint64_t a, b, c, d;
     std::uint64_t* sink;
     void operator()() const { *sink += a; }
   };
-  Sim sim;
+  Simulator sim;
   std::uint64_t sink = 0;
   for (std::size_t i = 0; i < n_events; ++i)
     sim.at(static_cast<Time>(mix64(i) % 100000), ProtocolEvent{i, i, i, i, &sink});
@@ -172,25 +177,8 @@ struct Ping {
 };
 
 /// `chains` concurrent ping-pong streams between a star center and its
-/// leaves, `hops` messages per stream, with serial service time, on the
-/// legacy core.
-std::uint64_t ping_pong_legacy(NodeId chains, int hops) {
-  Graph g = make_star(chains + 1);  // center 0, leaves 1..chains
-  legacy::Simulator sim;
-  SynchronousLatency lat;
-  legacy::Network<Ping> net(g, sim, lat);
-  net.set_service_time(kTicksPerUnit / 16);
-  std::uint64_t handled = 0;
-  net.set_handler([&](NodeId from, NodeId to, const Ping& p) {
-    ++handled;
-    if (p.remaining > 0) net.send(to, from, Ping{p.remaining - 1});
-  });
-  for (NodeId leaf = 1; leaf <= chains; ++leaf) net.send(leaf, 0, Ping{hops - 1});
-  sim.run();
-  return handled;
-}
-
-/// The statically dispatched variant: value sampler + typed handler.
+/// leaves, `hops` messages per stream, with serial service time: value
+/// sampler + typed handler.
 struct PingPongDriver;
 struct PingHandler {
   PingPongDriver* d = nullptr;
@@ -220,83 +208,16 @@ std::uint64_t ping_pong_static(NodeId chains, int hops) {
   return d.handled;
 }
 
-// --- 3. Figure 10 closed loop at n=1024 ----------------------------------
-
-/// Verbatim replica of the closed-loop driver against the legacy core, so
-/// the macro benchmark has an honest "before".
-ClosedLoopResult run_closed_loop_legacy(const Tree& tree, LatencyModel& latency,
-                                        const ClosedLoopConfig& config) {
-  struct LoopMsg {
-    bool notify = false;
-    RequestId req = kNoRequest;
-    NodeId requester = kNoNode;
-  };
-  const auto n = static_cast<std::size_t>(tree.node_count());
-  Graph graph = tree.as_graph();
-  legacy::Simulator sim;
-  legacy::Network<LoopMsg> net(graph, sim, latency);
-  net.set_service_time(config.service_time);
-  std::vector<NodeId> link(n);
-  std::vector<RequestId> last_req(n, kNoRequest);
-  std::vector<std::int64_t> issued(n, 0);
-  RequestId next_id = kRootRequest;
-  NodeId root = tree.root();
-  for (NodeId v = 0; v < tree.node_count(); ++v)
-    link[static_cast<std::size_t>(v)] = v == root ? v : tree.parent(v);
-  last_req[static_cast<std::size_t>(root)] = kRootRequest;
-
-  std::function<void(NodeId)> issue;
-  auto round_done = [&](NodeId v) { sim.in(config.service_time, [&issue, v]() { issue(v); }); };
-  issue = [&](NodeId v) {
-    auto vi = static_cast<std::size_t>(v);
-    if (issued[vi] >= config.requests_per_node) return;
-    ++issued[vi];
-    RequestId a = ++next_id;
-    if (link[vi] == v) {
-      last_req[vi] = a;
-      round_done(v);
-      return;
-    }
-    NodeId target = link[vi];
-    last_req[vi] = a;
-    link[vi] = v;
-    net.send(v, target, LoopMsg{false, a, v});
-  };
-  net.set_handler([&](NodeId from, NodeId at, const LoopMsg& m) {
-    if (m.notify) {
-      round_done(at);
-      return;
-    }
-    auto ui = static_cast<std::size_t>(at);
-    NodeId next = link[ui];
-    link[ui] = from;
-    if (next != at) {
-      net.send(at, next, LoopMsg{false, m.req, m.requester});
-      return;
-    }
-    if (m.requester == at) {
-      round_done(at);
-    } else {
-      net.send_with_latency(at, m.requester, kTicksPerUnit,
-                            LoopMsg{true, m.req, m.requester});
-    }
-  });
-  for (NodeId v = 0; v < tree.node_count(); ++v) sim.at(0, [&issue, v]() { issue(v); });
-  sim.run();
-  ClosedLoopResult res;
-  res.makespan = sim.now();
-  res.total_requests = static_cast<std::int64_t>(tree.node_count()) * config.requests_per_node;
-  res.tree_messages = net.stats().edge_messages;
-  res.notify_messages = net.stats().direct_messages;
-  return res;
-}
-
 // --- 4. sweep scaling ------------------------------------------------------
 
-std::vector<SweepScenario> sweep_scenarios(std::int64_t reqs_per_node) {
-  std::vector<SweepScenario> scenarios;
-  Graph g = make_complete(512);
-  Tree t = balanced_binary_overlay(g);
+/// One closed-loop point of the sweep; every point runs on the same tree.
+struct SweepPoint {
+  LatencySpec latency;
+  ClosedLoopConfig config;
+};
+
+std::vector<SweepPoint> sweep_points(std::int64_t reqs_per_node) {
+  std::vector<SweepPoint> points;
   int i = 0;
   for (LatencySpec spec :
        {LatencySpec::synchronous(), LatencySpec::scaled(0.5),
@@ -305,18 +226,26 @@ std::vector<SweepScenario> sweep_scenarios(std::int64_t reqs_per_node) {
         LatencySpec::synchronous(), LatencySpec::scaled(0.25)}) {
     ClosedLoopConfig cfg;
     cfg.requests_per_node = reqs_per_node;
-    cfg.service_time = i % 2 ? kTicksPerUnit / 16 : kTicksPerUnit / 8;
-    scenarios.push_back(SweepScenario{"s" + std::to_string(i++), t, spec, cfg});
+    cfg.service_time = i++ % 2 ? kTicksPerUnit / 16 : kTicksPerUnit / 8;
+    points.push_back(SweepPoint{spec, cfg});
   }
-  return scenarios;
+  return points;
 }
 
-bool sweep_results_equal(const std::vector<SweepResult>& a, const std::vector<SweepResult>& b) {
+std::vector<ClosedLoopResult> run_sweep(unsigned threads, const Tree& tree,
+                                        const std::vector<SweepPoint>& points) {
+  return SweepRunner(threads).map<ClosedLoopResult>(points.size(), [&](std::size_t i) {
+    auto model = points[i].latency.make();
+    return run_arrow_closed_loop(tree, *model, points[i].config);
+  });
+}
+
+bool sweep_results_equal(const std::vector<ClosedLoopResult>& a,
+                         const std::vector<ClosedLoopResult>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].result.makespan != b[i].result.makespan ||
-        a[i].result.tree_messages != b[i].result.tree_messages ||
-        a[i].result.notify_messages != b[i].result.notify_messages)
+    if (a[i].makespan != b[i].makespan || a[i].tree_messages != b[i].tree_messages ||
+        a[i].notify_messages != b[i].notify_messages)
       return false;
   }
   return true;
@@ -454,20 +383,15 @@ int run(int argc, char** argv) {
   // 1. Event core, protocol-sized (40-byte) events — the realistic case.
   const std::size_t n_events = quick ? (1u << 16) : (1u << 20);
   std::uint64_t sink = 0;
-  double s_legacy =
-      time_best(reps, [&] { sink += schedule_run_protocol<legacy::Simulator>(n_events); });
-  double s_bucket =
-      time_best(reps, [&] { sink += schedule_run_protocol<Simulator>(n_events); });
-  Rate ev_legacy = rate(s_legacy, static_cast<double>(n_events));
+  double s_bucket = time_best(reps, [&] { sink += schedule_run_protocol(n_events); });
   Rate ev_bucket = rate(s_bucket, static_cast<double>(n_events));
   std::printf("event_core      n=%zu protocol-sized (40B captures)\n", n_events);
-  std::printf("  legacy pq+function   %8.1f ns/event  %12.0f events/s\n", ev_legacy.ns_per_item,
-              ev_legacy.per_sec);
-  std::printf("  pooled bucketed      %8.1f ns/event  %12.0f events/s  (%.2fx)  [default]\n",
-              ev_bucket.ns_per_item, ev_bucket.per_sec, s_legacy / s_bucket);
+  std::printf("  pooled bucketed      %8.1f ns/event  %12.0f events/s  [default]\n",
+              ev_bucket.ns_per_item, ev_bucket.per_sec);
 
   // 1b. Event core, tiny (8-byte) events — isolates queue mechanics (the
-  // legacy std::function stays on its inline buffer here).
+  // legacy std::function stays on its inline buffer here). The frozen
+  // legacy core is the gate's only reference outside src/.
   double st_legacy =
       time_best(reps, [&] { sink += schedule_run_tiny<legacy::Simulator>(n_events); });
   double st_bucket =
@@ -495,22 +419,18 @@ int run(int argc, char** argv) {
   std::printf("  32B slots (compact)  %8.1f ns/event  %12.0f events/s  (%.2fx)\n",
               evc_compact.ns_per_item, evc_compact.per_sec, sc_default / sc_compact);
 
-  // 2. Network streams: legacy vs static dispatch.
+  // 2. Network streams on the static dispatch path.
   const NodeId chains = 32;
   const int hops = quick ? 2000 : 20000;
   const double n_msgs = static_cast<double>(chains) * hops;
   std::uint64_t handled = 0;
-  double m_legacy = time_best(reps, [&] { handled += ping_pong_legacy(chains, hops); });
   double m_static = time_best(reps, [&] { handled += ping_pong_static(chains, hops); });
-  Rate net_legacy = rate(m_legacy, n_msgs);
   Rate net_static = rate(m_static, n_msgs);
   std::printf("network         n=%.0f messages, 32 serviced ping-pong streams\n", n_msgs);
-  std::printf("  legacy               %8.1f ns/msg    %12.0f msgs/s\n", net_legacy.ns_per_item,
-              net_legacy.per_sec);
-  std::printf("  pooled static        %8.1f ns/msg    %12.0f msgs/s  (%.2fx)  [default]\n",
-              net_static.ns_per_item, net_static.per_sec, m_legacy / m_static);
+  std::printf("  pooled static        %8.1f ns/msg    %12.0f msgs/s  [default]\n",
+              net_static.ns_per_item, net_static.per_sec);
 
-  // 3. Figure 10 macro at n=1024: legacy vs static dispatch.
+  // 3. Figure 10 macro at n=1024 on the statically dispatched driver.
   const NodeId n_nodes = 1024;
   const std::int64_t reqs_per_node = quick ? 20 : 100;
   Graph g = make_complete(n_nodes);
@@ -519,38 +439,28 @@ int run(int argc, char** argv) {
   ClosedLoopConfig cfg;
   cfg.requests_per_node = reqs_per_node;
   cfg.service_time = kTicksPerUnit / 16;
-  ClosedLoopResult res_legacy{}, res_static{};
-  double c_legacy = time_best(reps, [&] { res_legacy = run_closed_loop_legacy(t, sync, cfg); });
+  ClosedLoopResult res_static{};
   double c_static = time_best(reps, [&] { res_static = run_arrow_closed_loop(t, sync, cfg); });
-  // The rewrites are supposed to be behavior-identical; the macro bench
-  // doubles as an end-to-end determinism check across both cores.
-  ARROWDQ_ASSERT_MSG(res_legacy.makespan == res_static.makespan, "cores disagree on makespan");
-  ARROWDQ_ASSERT_MSG(res_legacy.tree_messages == res_static.tree_messages,
-                     "cores disagree on tree messages");
-  ARROWDQ_ASSERT_MSG(res_legacy.notify_messages == res_static.notify_messages,
-                     "cores disagree on notify messages");
   const double n_reqs = static_cast<double>(res_static.total_requests);
   std::printf("closed_loop     n=%d procs, %lld reqs/proc (Figure 10 workload)\n", n_nodes,
               static_cast<long long>(reqs_per_node));
-  std::printf("  legacy               %8.3f s        %12.0f reqs/s\n", c_legacy,
-              n_reqs / c_legacy);
-  std::printf("  pooled static        %8.3f s        %12.0f reqs/s  (%.2fx)  [default]\n",
-              c_static, n_reqs / c_static, c_legacy / c_static);
+  std::printf("  pooled static        %8.3f s        %12.0f reqs/s  [default]\n", c_static,
+              n_reqs / c_static);
 
-  // 4. Sweep scaling: the same scenario set at 1/2/4 threads.
+  // 4. Sweep scaling: the same eight points at 1/2/4 threads.
   const std::int64_t sweep_reqs = quick ? 40 : 150;
-  std::vector<SweepScenario> scenarios = sweep_scenarios(sweep_reqs);
-  std::vector<SweepResult> ref;
-  double w1 = time_best(reps, [&] { ref = SweepRunner(1).run(scenarios); });
-  std::vector<SweepResult> r2, r4;
-  double w2 = time_best(reps, [&] { r2 = SweepRunner(2).run(scenarios); });
-  double w4 = time_best(reps, [&] { r4 = SweepRunner(4).run(scenarios); });
+  const std::vector<SweepPoint> points = sweep_points(sweep_reqs);
+  const Tree sweep_tree = balanced_binary_overlay(make_complete(512));
+  std::vector<ClosedLoopResult> ref, r2, r4;
+  double w1 = time_best(reps, [&] { ref = run_sweep(1, sweep_tree, points); });
+  double w2 = time_best(reps, [&] { r2 = run_sweep(2, sweep_tree, points); });
+  double w4 = time_best(reps, [&] { r4 = run_sweep(4, sweep_tree, points); });
   ARROWDQ_ASSERT_MSG(sweep_results_equal(ref, r2) && sweep_results_equal(ref, r4),
                      "sweep results depend on thread count");
   std::int64_t sweep_total = 0;
-  for (const SweepResult& r : ref) sweep_total += r.result.total_requests;
+  for (const ClosedLoopResult& r : ref) sweep_total += r.total_requests;
   std::printf("sweep_scaling   %zu scenarios, %lld reqs total, hw_concurrency=%u\n",
-              scenarios.size(), static_cast<long long>(sweep_total), hw);
+              points.size(), static_cast<long long>(sweep_total), hw);
   std::printf("  1 thread             %8.3f s        %12.0f reqs/s\n", w1,
               static_cast<double>(sweep_total) / w1);
   std::printf("  2 threads            %8.3f s        %12.0f reqs/s  (%.2fx)\n", w2,
@@ -677,13 +587,9 @@ int run(int argc, char** argv) {
                "  \"event_core\": {\n"
                "    \"n_events\": %zu,\n"
                "    \"event_capture_bytes\": 40,\n"
-               "    \"legacy_priority_queue\": {\"seconds\": %.6f, \"events_per_sec\": %.0f, "
-               "\"ns_per_event\": %.2f},\n"
                "    \"pooled_bucketed\": {\"seconds\": %.6f, \"events_per_sec\": %.0f, "
-               "\"ns_per_event\": %.2f},\n"
-               "    \"speedup_bucketed_vs_legacy\": %.3f\n  },\n",
-               n_events, ev_legacy.seconds, ev_legacy.per_sec, ev_legacy.ns_per_item,
-               ev_bucket.seconds, ev_bucket.per_sec, ev_bucket.ns_per_item, s_legacy / s_bucket);
+               "\"ns_per_event\": %.2f}\n  },\n",
+               n_events, ev_bucket.seconds, ev_bucket.per_sec, ev_bucket.ns_per_item);
   std::fprintf(f,
                "  \"event_core_tiny\": {\n"
                "    \"n_events\": %zu,\n"
@@ -711,24 +617,15 @@ int run(int argc, char** argv) {
   std::fprintf(f,
                "  \"network\": {\n"
                "    \"n_messages\": %.0f,\n"
-               "    \"legacy\": {\"seconds\": %.6f, \"messages_per_sec\": %.0f, \"ns_per_message\": "
-               "%.2f},\n"
                "    \"static\": {\"seconds\": %.6f, \"messages_per_sec\": %.0f, "
-               "\"ns_per_message\": %.2f},\n"
-               "    \"speedup_static_vs_legacy\": %.3f\n  },\n",
-               n_msgs, net_legacy.seconds, net_legacy.per_sec, net_legacy.ns_per_item,
-               net_static.seconds, net_static.per_sec, net_static.ns_per_item,
-               m_legacy / m_static);
+               "\"ns_per_message\": %.2f}\n  },\n",
+               n_msgs, net_static.seconds, net_static.per_sec, net_static.ns_per_item);
   std::fprintf(f,
                "  \"closed_loop_fig10\": {\n"
                "    \"nodes\": %d,\n"
                "    \"requests_per_node\": %lld,\n"
-               "    \"legacy\": {\"seconds\": %.6f, \"requests_per_sec\": %.0f},\n"
-               "    \"static\": {\"seconds\": %.6f, \"requests_per_sec\": %.0f},\n"
-               "    \"speedup_static_vs_legacy\": %.3f,\n"
-               "    \"results_identical\": true\n  },\n",
-               n_nodes, static_cast<long long>(reqs_per_node), c_legacy, n_reqs / c_legacy,
-               c_static, n_reqs / c_static, c_legacy / c_static);
+               "    \"static\": {\"seconds\": %.6f, \"requests_per_sec\": %.0f}\n  },\n",
+               n_nodes, static_cast<long long>(reqs_per_node), c_static, n_reqs / c_static);
   std::fprintf(f,
                "  \"bench_runtime\": {\n"
                "    \"nodes\": %d,\n"
@@ -762,7 +659,7 @@ int run(int argc, char** argv) {
                "    \"speedup_2_threads\": %.3f,\n"
                "    \"speedup_4_threads\": %.3f,\n"
                "    \"results_thread_count_invariant\": true\n  }\n}\n",
-               scenarios.size(), static_cast<long long>(sweep_total), hw, w1,
+               points.size(), static_cast<long long>(sweep_total), hw, w1,
                static_cast<double>(sweep_total) / w1, w2, static_cast<double>(sweep_total) / w2,
                w4, static_cast<double>(sweep_total) / w4, w1 / w2, w1 / w4);
   std::fclose(f);

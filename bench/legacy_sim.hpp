@@ -1,21 +1,19 @@
-// Verbatim snapshot of the pre-rewrite event core (std::priority_queue of
-// fat Event structs with one std::function heap allocation per event; a
-// Network that allocates two closures per serviced message and resolves
-// edges through std::unordered_map / linear adjacency scans).
+// Verbatim snapshot of the pre-rewrite event core: a std::priority_queue of
+// fat Event structs holding one std::function each.
 //
-// Kept ONLY so bench_throughput can measure honest before/after numbers in
-// a single binary. Not built into arrowdq_core; never use outside bench/.
+// Kept ONLY as bench_throughput's frozen reference: it never changes with
+// src/, so a ratio against it is the one gated number that catches a
+// uniform slowdown of the real event core (every other row divides two
+// src/ measurements, where such a slowdown cancels). Not built into
+// arrowdq_core; never use outside bench/.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "graph/graph.hpp"
-#include "sim/latency.hpp"
 #include "support/assert.hpp"
 #include "support/types.hpp"
 
@@ -74,103 +72,6 @@ class Simulator {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-};
-
-struct NetworkStats {
-  std::uint64_t edge_messages = 0;
-  std::uint64_t direct_messages = 0;
-  Time total_edge_latency = 0;
-};
-
-template <typename M>
-class Network {
- public:
-  using Handler = std::function<void(NodeId from, NodeId to, const M& msg)>;
-
-  Network(const Graph& graph, Simulator& sim, LatencyModel& latency)
-      : graph_(graph),
-        sim_(sim),
-        latency_(latency),
-        busy_until_(static_cast<std::size_t>(graph.node_count()), 0) {}
-
-  void set_handler(Handler h) { handler_ = std::move(h); }
-
-  void set_service_time(Time ticks) {
-    ARROWDQ_ASSERT(ticks >= 0);
-    service_time_ = ticks;
-  }
-  Time service_time() const { return service_time_; }
-
-  const Graph& graph() const { return graph_; }
-  Simulator& sim() { return sim_; }
-  const NetworkStats& stats() const { return stats_; }
-
-  void send(NodeId from, NodeId to, M msg) {
-    // The pre-rewrite core scanned the adjacency list twice per send.
-    Weight w = 0;
-    bool found = false;
-    for (const auto& he : graph_.neighbors(from)) {
-      if (he.to == to) {
-        w = he.weight;
-        found = true;
-        break;
-      }
-    }
-    ARROWDQ_ASSERT_MSG(found, "send over a non-edge");
-    Time lat = latency_.sample(from, to, w);
-    ARROWDQ_ASSERT(lat >= 1);
-    Time deliver = sim_.now() + lat;
-    auto key = edge_key(from, to);
-    auto [it, inserted] = fifo_.try_emplace(key, deliver);
-    if (!inserted) {
-      if (deliver < it->second) deliver = it->second;
-      it->second = deliver;
-    }
-    ++stats_.edge_messages;
-    stats_.total_edge_latency += lat;
-    schedule_processing(from, to, deliver, std::move(msg));
-  }
-
-  void send_with_latency(NodeId from, NodeId to, Time latency, M msg) {
-    ARROWDQ_ASSERT(latency >= 0);
-    ++stats_.direct_messages;
-    schedule_processing(from, to, sim_.now() + latency, std::move(msg));
-  }
-
- private:
-  static std::uint64_t edge_key(NodeId from, NodeId to) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-           static_cast<std::uint32_t>(to);
-  }
-
-  void schedule_processing(NodeId from, NodeId to, Time deliver, M msg) {
-    if (service_time_ == 0) {
-      sim_.at(deliver, [this, from, to, m = std::move(msg)]() {
-        ARROWDQ_ASSERT_MSG(handler_, "no handler installed");
-        handler_(from, to, m);
-      });
-      return;
-    }
-    sim_.at(deliver, [this, from, to, m = std::move(msg)]() mutable {
-      auto& busy = busy_until_[static_cast<std::size_t>(to)];
-      Time start = std::max(sim_.now(), busy);
-      Time done = start + service_time_;
-      busy = done;
-      sim_.at(done, [this, from, to, m2 = std::move(m)]() {
-        ARROWDQ_ASSERT_MSG(handler_, "no handler installed");
-        handler_(from, to, m2);
-      });
-    });
-  }
-
-  const Graph& graph_;
-  Simulator& sim_;
-  LatencyModel& latency_;
-  Handler handler_;
-  Time service_time_ = 0;
-  std::vector<Time> busy_until_;
-  std::unordered_map<std::uint64_t, Time> fifo_;
-  NetworkStats stats_;
 };
 
 }  // namespace legacy

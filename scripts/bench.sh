@@ -5,11 +5,12 @@
 #   scripts/bench.sh            # full run (~1 min)
 #   scripts/bench.sh --quick    # CI-sized smoke run (~5 s)
 #   scripts/bench.sh --check    # additionally gate fresh numbers against the
-#                               # committed BENCH_throughput.json (a speedup-
-#                               # ratio regression past the row's tolerance —
-#                               # 20% default, 15% event-core rows — a blown
-#                               # fig10_scale memory budget, or a failed
-#                               # fig10_parallel check, fails)
+#                               # committed BENCH_throughput.json (a ratio
+#                               # regression past the row's tolerance — 20%
+#                               # default, 15% on the 40-byte event-core row —
+#                               # a row whose metric or reference is missing,
+#                               # a blown fig10_scale memory budget, or a
+#                               # failed fig10_parallel check, fails)
 #   BUILD_DIR=out scripts/bench.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."

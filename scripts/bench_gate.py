@@ -10,22 +10,25 @@ perf-smoke job feeds it `sweep_main --smoke`): schema only — every scenario
 row must carry the uniform metric keys with sane types and the declared
 scenario count must match — no performance thresholds.
 
-Every gated metric is a throughput number *normalized by a same-run,
-same-section reference* (the bench runs the pre-rewrite legacy core in the
-same binary), so the comparison is a speedup ratio and systematic machine
-differences between the baseline host and the CI runner cancel out. There
-is one event queue and one dispatch tier, so each section gates the pooled
-static path against its reference; no alternate-queue or dynamic-dispatch
-rows remain. The 40-byte event-core row normalizes by the tiny *pooled
-bucketed* reference — the fully allocation-free path, the steadiest loop in
-the binary — rather than any legacy std::function run: even the tiny legacy
-reference keeps a virtual dispatch per event whose branch-predictor
-sensitivity showed up as extra cross-run drift. With the steadier reference
-that row runs at a tightened 15% tolerance (per-row, see RATIOS); the legacy
-speedup claim itself survives as the tiny-pooled-vs-tiny-legacy row at the
-default 20%. Only ratios computable in *both* files are compared (schema
-additions never break the gate); a metric fails when its fresh speedup drops
-below (1 - tolerance) x its baseline speedup.
+Every gated metric is a throughput number *normalized by a reference
+measured in the same run*, so the comparison is a ratio and machine
+differences between the baseline host and the CI runner largely cancel out
+(see RATIOS for where they do not).
+A ratio gate needs one reference that does not change with src/: the bench
+keeps the pre-rewrite priority_queue + std::function core
+(bench/legacy_sim.hpp) for that, and the tiny-pooled-vs-tiny-legacy row is
+the only row that catches a uniform event-core slowdown. Every other row
+divides two src/ measurements, so such a slowdown cancels out of it. Those
+rows normalize by the tiny *pooled bucketed* run (STEADY_REF) — the fully
+allocation-free path, the steadiest loop in the binary — or, for the
+sweep, the scale tier and the sharded K=1 lane, by the Figure-10 closed
+loop they build on. The
+40-byte event-core row runs at a tightened 15% tolerance (per-row, see
+RATIOS); the others at the default 20%. Every RATIOS row must be computable
+in *both* files: a missing metric or reference fails the gate, so a
+mistyped path or a dropped JSON key cannot silently switch a row off. A
+metric fails when its fresh ratio drops below (1 - tolerance) x its
+baseline ratio.
 
 When both files carry a fig10_scale section (the implicit-topology scale
 tier), the fresh one is additionally schema-checked and each cell's
@@ -47,49 +50,52 @@ import argparse
 import json
 import sys
 
-# Non-allocating legacy event-core reference: 8-byte captures fit
-# std::function's inline buffer, so the legacy run never touches the
-# allocator. Kept as the reference for the one row that *is* the legacy
-# speedup claim.
+# The frozen reference: the pre-rewrite event core with 8-byte captures,
+# which fit std::function's inline buffer, so the run never touches the
+# allocator. It is the only reference that does not change with src/, so
+# the one row normalized by it is the only row that catches a uniform
+# event-core slowdown.
 TINY_REF = "event_core_tiny.legacy_priority_queue.events_per_sec"
 
 # Steadier event-core reference: the tiny pooled-bucketed run is the
 # default engine path — no allocation, no std::function dispatch, a pure
 # arena + bucket loop. Measured cross-run drift is roughly half the tiny
 # legacy reference's (the virtual call per event is branch-predictor
-# sensitive), so the row normalized by it runs at a tighter tolerance.
+# sensitive). It changes with src/, so a row normalized by it gates the
+# layer above the event core, not the core itself.
 STEADY_REF = "event_core_tiny.pooled_bucketed.events_per_sec"
 
+# The Figure-10 closed loop at n=1024: the reference for the rows that run
+# the same driver at other shapes (the sweep, the implicit scale tier and
+# the sharded engine's K=1 lane).
+FIG10_REF = "closed_loop_fig10.static.requests_per_sec"
+
 # (metric path, same-run reference path, human label, tolerance override).
-# Each metric is normalized by a reference of the *same workload shape
-# measured adjacently in the same run* — numerator and denominator then see
-# the same machine and the same load, so both systematic host differences
-# and transient contention cancel. (A single shared reference was tried and
-# is strictly worse: it correlates every row with one workload's noise, and
-# macro sections respond to load differently than a micro loop.) Units
-# differ across rows — irrelevant, the gate compares fresh *ratio* vs
-# baseline *ratio*. A None tolerance uses --tolerance.
+# Each metric is normalized by a reference measured in the same run —
+# numerator and denominator then see the same machine and the same load, so
+# transient contention cancels. Host differences cancel only as far as the
+# two respond alike to the hardware: the macro rows normalized by the tiny
+# micro loop (network, Figure 10) shift between hosts with different cache
+# and memory behaviour, so the committed baseline should come from the
+# runner's hardware class. Units differ across rows — irrelevant, the gate
+# compares fresh *ratio* vs baseline *ratio*. A None tolerance uses
+# --tolerance.
 RATIOS = [
     ("event_core.pooled_bucketed.events_per_sec", STEADY_REF,
      "event core (bucketed, default)", 0.15),
     ("event_core_tiny.pooled_bucketed.events_per_sec", TINY_REF,
-     "tiny event core (bucketed vs legacy)", None),
+     "tiny event core (bucketed vs frozen legacy)", None),
     ("event_core_compact.slot_32b_compact.events_per_sec",
      "event_core_compact.slot_64b_default.events_per_sec",
      "compact event core (32B vs 64B slots)", None),
-    ("network.static.messages_per_sec", "network.legacy.messages_per_sec",
+    ("network.static.messages_per_sec", STEADY_REF,
      "network static dispatch", None),
-    ("closed_loop_fig10.static.requests_per_sec",
-     "closed_loop_fig10.legacy.requests_per_sec",
-     "Figure 10 macro (static, default)", None),
-    ("sweep_scaling.threads_1.requests_per_sec",
-     "closed_loop_fig10.legacy.requests_per_sec",
+    (FIG10_REF, STEADY_REF, "Figure 10 macro (static, default)", None),
+    ("sweep_scaling.threads_1.requests_per_sec", FIG10_REF,
      "sweep @1 thread", None),
-    ("fig10_scale.n_1048576.requests_per_sec",
-     "closed_loop_fig10.static.requests_per_sec",
+    ("fig10_scale.n_1048576.requests_per_sec", FIG10_REF,
      "Figure 10 scale (n=2^20 implicit)", None),
-    ("fig10_parallel.k_1.events_per_sec",
-     "closed_loop_fig10.static.requests_per_sec",
+    ("fig10_parallel.k_1.events_per_sec", FIG10_REF,
      "Figure 10 parallel (K=1 window/merge overhead)", None),
 ]
 
@@ -131,7 +137,7 @@ def lookup(doc, dotted):
 def speedup(doc, metric, reference):
     value = lookup(doc, metric)
     ref = lookup(doc, reference)
-    if value is None or ref is None or ref <= 0:
+    if value is None or ref is None or value <= 0 or ref <= 0:
         return None
     return value / ref
 
@@ -578,7 +584,12 @@ def main():
     for metric, reference, label, row_tol in RATIOS:
         base_s = speedup(baseline, metric, reference)
         fresh_s = speedup(fresh, metric, reference)
-        if base_s is None or fresh_s is None or base_s <= 0:
+        if base_s is None or fresh_s is None:
+            missing = [name for name, s in (("baseline", base_s), ("fresh", fresh_s))
+                       if s is None]
+            print(f"  [FAIL] {label:44s} {metric} / {reference} missing or "
+                  f"non-positive in the {' and '.join(missing)} JSON")
+            failures.append(label)
             continue
         compared += 1
         tol = args.tolerance if row_tol is None else row_tol
@@ -617,12 +628,9 @@ def main():
                 else "schema + checker (1-core runner, speedup bar skipped)")
         print(f"  [OK ] bench_runtime {note}")
 
-    if compared == 0:
-        print("bench_gate: no comparable metrics between baseline and fresh JSON", file=sys.stderr)
-        return 1
     if failures:
-        print(f"bench_gate: {len(failures)} metric(s) regressed more than "
-              f"{args.tolerance:.0%}: {', '.join(failures)}", file=sys.stderr)
+        print(f"bench_gate: {len(failures)} check(s) failed: {', '.join(failures)}",
+              file=sys.stderr)
         return 1
     print(f"bench_gate: {compared} metric(s) within {args.tolerance:.0%} of baseline.")
     return 0

@@ -32,7 +32,8 @@
 //   --reqs      closed-loop rounds per node (arrow-loop, centralized,
 //               forwarding-loop)
 //   --fault     none | loss:P | dup:P | jitter:P[:MAXU] | spike:P[:F] |
-//               crash:N[:DOWNU[:PERIODU]] | chaos     (crossed like any axis;
+//               crash:N[:DOWNU[:PERIODU]] | partition:CUTS:DOWNU[:PERIODU] |
+//               churn:RATE[:leaf|any] | chaos     (crossed like any axis;
 //               fault != none adds fault metrics + recovery delta per row)
 //   --replicas  statistical replicas per cell (default 1); R >= 2 adds a
 //               "replication" block per scenario row with mean/stddev/
@@ -43,7 +44,7 @@
 //               in both modes, whose one driver also runs on the sharded
 //               engine — runs on K lanes with bit-identical results; token
 //               passing, closed-loop centralized and topology-fault cells
-//               stay serial. Default 0 inherits ARROWDQ_SIM_SHARDS.
+//               stay serial. Default 0 (like 1) runs every cell serial.
 //   --rt        real-thread runtime pass (src/rt/): re-run each fault-free
 //               arrow-loop cell on T worker threads (0 = all cores), check
 //               the recorded history for linearizability, and attach a
@@ -96,7 +97,7 @@ struct Options {
   std::uint64_t seed = 1;
   int repeat = 1;             // separately-reported rows per grid point
   int replicas = 1;           // statistically folded replicas per cell
-  int shards = 0;             // intra-run lanes; 0 = inherit ARROWDQ_SIM_SHARDS
+  int shards = 0;             // intra-run lanes; 0 = not given (serial)
   int rt_threads = -1;        // -1 = no runtime pass; 0 = hardware concurrency
   std::string rt_app = "mutex";  // runtime app: mutex | counter | directory
   std::string json_path;      // empty = no JSON

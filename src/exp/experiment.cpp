@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -370,21 +369,6 @@ ResolvePlan plan_resolve(const Experiment& e) {
   return plan;
 }
 
-/// ARROWDQ_SIM_SHARDS, parsed once per process. Out-of-range or
-/// non-numeric values mean 1 (serial); the cap matches the engine's
-/// practical lane range.
-int env_shards() {
-  static const int cached = [] {
-    const char* s = std::getenv("ARROWDQ_SIM_SHARDS");
-    if (s == nullptr || *s == '\0') return 1;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == nullptr || *end != '\0' || v < 1 || v > 1024) return 1;
-    return static_cast<int>(v);
-  }();
-  return cached;
-}
-
 /// Whether this scenario can run on the sharded engine. Token passing
 /// replays an analytic total order (inherently serial), the centralized
 /// closed loop keeps an order-dependent Welford mean and stays serial, and
@@ -405,13 +389,12 @@ bool shardable(const Experiment& e) {
   return false;
 }
 
-/// The shard count a run should actually use. An explicit Experiment::shards
-/// wins (validate_experiment has already rejected unshardable combinations);
-/// scenarios the parallel engine cannot run stay serial.
+/// The shard count a run should actually use: Experiment::shards <= 1 is
+/// serial, and scenarios the parallel engine cannot run stay serial
+/// (validate_experiment has already rejected them when shards > 1).
 int effective_shards(const Experiment& e) {
-  const int k = e.shards > 0 ? e.shards : env_shards();
-  if (k <= 1) return 1;
-  return shardable(e) ? k : 1;
+  if (e.shards <= 1) return 1;
+  return shardable(e) ? e.shards : 1;
 }
 
 }  // namespace

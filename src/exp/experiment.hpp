@@ -416,11 +416,10 @@ struct Experiment {
   bool analyze = false;
   /// Intra-run shard count for the conservative parallel engine
   /// (sim/parallel/). Results are bit-identical to the serial core for any
-  /// value, so this is purely a speed knob. 0 = inherit ARROWDQ_SIM_SHARDS
-  /// (default 1; scenarios the parallel engine cannot run fall back to
-  /// serial silently). The arrow closed loop, one-shot arrow, one-shot
+  /// value, so this is purely a speed knob. Values <= 1 run serial (the
+  /// default). The arrow closed loop, one-shot arrow, one-shot
   /// centralized, and pointer forwarding in both modes shard (each runs its
-  /// one driver on the sharded engine). Setting > 1 explicitly on the rest
+  /// one driver on the sharded engine). Setting > 1 on the rest
   /// is validated: token passing (the token replay is inherently serial),
   /// the centralized closed loop (order-dependent Welford mean), and
   /// topology-fault schedules — crash, partition, churn
@@ -459,7 +458,7 @@ std::optional<std::string> validate_experiment(const Experiment& e);
 /// RunResult::recovery_delta_units.
 RunResult run_experiment(const Experiment& e);
 
-/// One sweep slot, in scenario order (mirrors SweepResult).
+/// One sweep slot, in scenario order: the run's label, result and wall time.
 struct ExperimentResult {
   std::string label;
   RunResult result;

@@ -1,21 +1,17 @@
 // Per-node mailboxes for the shared-memory runtime (src/rt/): bounded MPSC
 // delivery with a correctness-preserving overflow path.
 //
-// Two implementations, chosen at compile time:
-//
-//  * RingMailbox (default) — a Vyukov-style bounded ring whose push/pop are
-//    lock-free. The consumer side is single-threaded by construction (only
-//    the node's owning worker pops), so pop needs no CAS on the tail.
-//  * LockingMailbox (-DARROWDQ_RT_LOCKING_MAILBOX) — mutex + two swapped
-//    vectors. The portable fallback for platforms where the atomic ring is
-//    in doubt; workers never sleep on an empty mailbox (scheduling is
-//    runqueue-driven, see runtime.hpp), so no condvar is needed on pop.
+// Mailbox is a Vyukov-style bounded ring (RingMailbox) whose push/pop are
+// lock-free, backed by a locked overflow vector. The consumer side is
+// single-threaded by construction (only the node's owning worker pops), so
+// pop needs no CAS on the tail; workers never sleep on an empty mailbox
+// (scheduling is runqueue-driven, see runtime.hpp), so no condvar is needed.
 //
 // FIFO contract. The arrow protocol — like the sim, which clamps its latency
 // draws per edge — assumes FIFO links: two queue() messages from the same
 // sender to the same node must be delivered in send order (a reordering can
-// bounce a request off a stale pointer). Both implementations preserve
-// per-producer order, including across the overflow path:
+// bounce a request off a stale pointer). Mailbox preserves per-producer
+// order, including across the overflow path:
 //
 //  * the ring serves slots in reservation order, so one producer's pushes
 //    come out in push order;
@@ -127,69 +123,13 @@ class RingMailbox {
   alignas(64) std::size_t tail_{0};               // single consumer
 };
 
-/// Mutex fallback: unbounded two-vector swap queue. Per-producer FIFO is
-/// immediate from the single lock.
-template <typename T>
-class LockingMailbox {
- public:
-  explicit LockingMailbox(std::size_t /*capacity*/) {}
-
-  void push(const T& v) {
-    std::lock_guard<std::mutex> lock(mu_);
-    inbox_.push_back(v);
-    nonempty_.store(true, std::memory_order_release);
-  }
-
-  bool try_pop(T& out) {
-    if (batch_next_ < batch_.size()) {
-      out = std::move(batch_[batch_next_++]);
-      return true;
-    }
-    if (!nonempty_.load(std::memory_order_acquire)) return false;
-    batch_.clear();
-    batch_next_ = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      batch_.swap(inbox_);
-      nonempty_.store(false, std::memory_order_release);
-    }
-    if (batch_.empty()) return false;
-    out = std::move(batch_[batch_next_++]);
-    return true;
-  }
-
-  bool maybe_nonempty() const {
-    return batch_next_ < batch_.size() || nonempty_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<T> inbox_;              // guarded by mu_
-  std::vector<T> batch_;              // consumer-private
-  std::size_t batch_next_ = 0;        // consumer-private
-  std::atomic<bool> nonempty_{false};
-};
-
 /// The mailbox the runtime instantiates per node: bounded lock-free ring with
-/// a locked overflow vector behind it (or the pure locking fallback). push()
-/// never fails and never waits on the consumer.
+/// a locked overflow vector behind it. push() never fails and never waits on
+/// the consumer.
 template <typename T>
 class Mailbox {
  public:
-  explicit Mailbox(std::size_t ring_capacity)
-#if defined(ARROWDQ_RT_LOCKING_MAILBOX)
-      : impl_(ring_capacity) {
-  }
-
-  void push(const T& v) { impl_.push(v); }
-  bool try_pop(T& out) { return impl_.try_pop(out); }
-  bool maybe_nonempty() const { return impl_.maybe_nonempty(); }
-
- private:
-  LockingMailbox<T> impl_;
-#else
-      : ring_(ring_capacity) {
-  }
+  explicit Mailbox(std::size_t ring_capacity) : ring_(ring_capacity) {}
 
   void push(const T& v) {
     // Divert to overflow whenever overflow is (or may be) non-empty: a
@@ -232,7 +172,6 @@ class Mailbox {
   std::size_t batch_next_ = 0;  // consumer-private
   std::size_t batch_ring_end_ = 0;  // ring positions to serve before the batch
   std::atomic<bool> overflow_nonempty_{false};
-#endif
 };
 
 }  // namespace arrowdq::rt

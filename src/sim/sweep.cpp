@@ -1,7 +1,6 @@
 #include "sim/sweep.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -85,20 +84,6 @@ void SweepRunner::for_indices(std::size_t n, const std::function<void(std::size_
   worker();  // the calling thread is worker 0
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-std::vector<SweepResult> SweepRunner::run(const std::vector<SweepScenario>& scenarios) const {
-  std::vector<SweepResult> results(scenarios.size());
-  for_indices(scenarios.size(), [&](std::size_t i) {
-    const SweepScenario& sc = scenarios[i];
-    auto model = sc.latency.make();
-    const auto t0 = std::chrono::steady_clock::now();
-    ClosedLoopResult res = run_arrow_closed_loop(sc.tree, *model, sc.config);
-    const auto t1 = std::chrono::steady_clock::now();
-    results[i] = SweepResult{sc.label, res,
-                             std::chrono::duration<double>(t1 - t0).count()};
-  });
-  return results;
 }
 
 }  // namespace arrowdq

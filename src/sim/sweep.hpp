@@ -9,31 +9,23 @@
 //
 //  * Scenarios are value objects. A worker builds its own latency model
 //    from the scenario's LatencySpec (per-scenario RNG seed), so no mutable
-//    state is shared between threads; graphs/trees are copied into the
-//    scenario up front.
-//  * Results are written into a pre-sized slot per scenario index, so the
+//    state is shared between threads.
+//  * map() writes each result into a pre-sized slot per index, so the
 //    output order is the scenario order no matter how threads interleave,
-//    and the result values themselves are independent of the thread count
-//    (the dispatch_test suite pins this, including thread count 1).
+//    and the result values themselves are independent of the thread count.
 //
-// Two scenario layers ride on the same pool:
-//  * run(SweepScenario) — the original arrow-closed-loop sweep, kept for
-//    source compatibility;
-//  * run_experiments (exp/experiment.hpp) — the general form: any mix of
-//    protocols/topologies/workloads as declarative Experiment values,
-//    mapped through the same deterministic map() primitive.
+// The scenario layer on top is run_experiments (exp/experiment.hpp): any
+// mix of protocols/topologies/workloads as declarative Experiment values,
+// mapped through map(); tests/experiment_test.cpp pins its results as
+// independent of the thread count, including 1.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "arrow/closed_loop.hpp"
-#include "graph/tree.hpp"
 #include "sim/latency.hpp"
-#include "support/types.hpp"
 
 namespace arrowdq {
 
@@ -59,33 +51,12 @@ struct LatencySpec {
   }
 };
 
-/// One independent arrow-closed-loop simulation point (the original,
-/// single-protocol scenario type; see exp/experiment.hpp for the general
-/// cross-protocol Experiment).
-struct SweepScenario {
-  std::string label;
-  Tree tree;
-  LatencySpec latency;
-  ClosedLoopConfig config;
-};
-
-/// Result slot for one scenario, in scenario order.
-struct SweepResult {
-  std::string label;
-  ClosedLoopResult result;
-  double seconds = 0;  // wall time of this scenario on its worker
-};
-
 class SweepRunner {
  public:
   /// threads == 0 → std::thread::hardware_concurrency() (at least 1).
   explicit SweepRunner(unsigned threads = 0);
 
   unsigned threads() const { return threads_; }
-
-  /// Run every scenario (each through the statically dispatched closed-loop
-  /// driver) across the pool; results in scenario order.
-  std::vector<SweepResult> run(const std::vector<SweepScenario>& scenarios) const;
 
   /// Generic deterministic parallel map: out[i] = fn(i) for i in [0, n).
   /// fn must be safe to call concurrently for different i and R must be
@@ -98,7 +69,7 @@ class SweepRunner {
     return out;
   }
 
-  /// The parallel-for primitive behind map/run.
+  /// The parallel-for primitive behind map.
   void for_indices(std::size_t n, const std::function<void(std::size_t)>& body) const;
 
  private:

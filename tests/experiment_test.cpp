@@ -7,6 +7,8 @@
 //    forwarding (run_pointer_forwarding, both modes) and token passing
 //    (run_arrow + simulate_token_passing), on seeded instances across all
 //    latency models.
+//  * The arrow closed loop must reproduce bench_throughput's Figure-10 cell
+//    exactly, as recorded from an independent replica of the loop.
 //  * run_experiments must be thread-count invariant on mixed-protocol
 //    scenario lists and must match serial run_experiment calls.
 //  * The declarative topology/workload specs must materialize exactly the
@@ -154,6 +156,32 @@ TEST(Experiment, DeclarativeCompleteTopologyMatchesSection5Setup) {
     ClosedLoopResult legacy = run_arrow_closed_loop(t, sync, cfg);
     EXPECT_EQ(res.makespan, legacy.makespan) << n;
     EXPECT_EQ(res.messages, legacy.tree_messages + legacy.notify_messages) << n;
+  }
+}
+
+// The Figure-10 cell bench_throughput times (complete n=1024, balanced
+// binary overlay, sync latency, service time 1/16 unit) at 20 and 100
+// rounds per node. The expected values were taken from an independent
+// std::function + std::priority_queue replica of the closed loop on the
+// pre-rewrite event core, which agreed with this driver tick for tick.
+TEST(Experiment, Figure10CellMatchesRecordedReplica) {
+  struct Pin {
+    std::int64_t rounds;
+    Time makespan;
+    std::uint64_t tree_messages;
+    std::uint64_t notify_messages;
+  };
+  const Tree t = balanced_binary_overlay(make_complete(1024));
+  for (const Pin& pin : {Pin{20, 82048, 11499, 6278}, Pin{100, 270016, 44523, 25803}}) {
+    SynchronousLatency sync;
+    ClosedLoopConfig cfg;
+    cfg.requests_per_node = pin.rounds;
+    cfg.service_time = kTicksPerUnit / 16;
+    const ClosedLoopResult res = run_arrow_closed_loop(t, sync, cfg);
+    EXPECT_EQ(res.makespan, pin.makespan) << pin.rounds;
+    EXPECT_EQ(res.total_requests, 1024 * pin.rounds) << pin.rounds;
+    EXPECT_EQ(res.tree_messages, pin.tree_messages) << pin.rounds;
+    EXPECT_EQ(res.notify_messages, pin.notify_messages) << pin.rounds;
   }
 }
 
