@@ -9,13 +9,17 @@
 //  * Batch draining must preserve exact (time, seq) FIFO order under heavy
 //    same-instant load, including events scheduled mid-batch, at both arena
 //    slot widths.
-//  * SweepRunner's map() must return results in index order (thread-count
-//    invariance of whole sweeps is pinned through run_experiments in
+//  * SweepRunner's map() must return results in index order, closed loops
+//    mapped through it must not depend on the thread count, and a throwing
+//    index must surface on the caller (thread-count invariance of mixed
+//    Experiment sweeps is pinned through run_experiments in
 //    experiment_test.cpp).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -248,6 +252,54 @@ TEST(SweepRunner, MapReturnsResultsInIndexOrder) {
   ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(out[i], mix64(i)) << i;
   EXPECT_TRUE(runner.map<int>(0, [](std::size_t) { return 1; }).empty());
+}
+
+TEST(SweepRunner, MapClosedLoopIndependentOfThreadCount) {
+  // The bench's sweep_scaling shape: each index builds its own latency
+  // model from a LatencySpec and runs a closed loop on a shared tree.
+  const Tree t = testutil::make_instance(3).tree;
+  const std::vector<LatencySpec> specs = {
+      LatencySpec::synchronous(), LatencySpec::scaled(0.5),
+      LatencySpec::uniform_async(101, 0.1), LatencySpec::truncated_exp(202, 0.4),
+      LatencySpec::uniform_async(303, 0.3), LatencySpec::truncated_exp(404, 0.2)};
+  auto run_point = [&](std::size_t i) {
+    ClosedLoopConfig cfg;
+    cfg.requests_per_node = 6 + static_cast<std::int64_t>(i);
+    cfg.service_time = i % 2 ? kTicksPerUnit / 16 : 0;
+    auto model = specs[i].make();
+    return run_arrow_closed_loop(t, *model, cfg);
+  };
+  std::vector<ClosedLoopResult> serial;
+  for (std::size_t i = 0; i < specs.size(); ++i) serial.push_back(run_point(i));
+  for (unsigned threads : {1u, 2u, 4u, 7u}) {
+    auto out = SweepRunner(threads).map<ClosedLoopResult>(specs.size(), run_point);
+    ASSERT_EQ(out.size(), specs.size()) << threads;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(out[i].makespan, serial[i].makespan) << threads << " " << i;
+      EXPECT_EQ(out[i].total_requests, serial[i].total_requests) << threads << " " << i;
+      EXPECT_EQ(out[i].tree_messages, serial[i].tree_messages) << threads << " " << i;
+      EXPECT_EQ(out[i].notify_messages, serial[i].notify_messages) << threads << " " << i;
+    }
+  }
+}
+
+TEST(SweepRunner, ForIndicesRethrowsWorkerExceptionOnCaller) {
+  // A throwing index must not terminate the process: the pool winds down,
+  // joins, and the caller sees the exception.
+  std::atomic<int> visited{0};
+  auto body = [&](std::size_t i) {
+    visited.fetch_add(1, std::memory_order_relaxed);
+    if (i == 5) throw std::runtime_error("index 5");
+  };
+  EXPECT_THROW(SweepRunner(4).for_indices(64, body), std::runtime_error);
+  EXPECT_GE(visited.load(), 1);
+  EXPECT_LE(visited.load(), 64);
+  visited = 0;
+  EXPECT_THROW(SweepRunner(1).for_indices(8, body), std::runtime_error);
+  EXPECT_EQ(visited.load(), 6);  // serial path stops at the throwing index
+  // The runner stays usable after a failed sweep.
+  auto out = SweepRunner(4).map<std::uint64_t>(16, [](std::size_t i) { return mix64(i); });
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(out[i], mix64(i)) << i;
 }
 
 TEST(SweepRunner, LatencySpecFactoriesMatchModels) {
